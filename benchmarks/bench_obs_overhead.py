@@ -8,9 +8,8 @@ Three measurements, written to benchmarks/BENCH_obs_overhead.json:
      phase — and of the live Recorder's, for contrast.
   2. end-to-end: the same seeded study run with observability off
      (null recorder) and on (Recorder + per-node profiling), with the
-     off/on wall-clock ratio. Renders take the default fused path
-     (REPRO_RENDER_PATH=auto), so the baseline reflects the production
-     render speed — a faster render makes any fixed recorder cost
+     off/on wall-clock ratio. Renders take the production fused path,
+     so the baseline reflects the production render speed — a faster render makes any fixed recorder cost
      *relatively* larger, which is the honest denominator.
   3. events: the same instrumented study with a streaming JSONL event
      log attached, as a ratio over the instrumented run without one —
@@ -44,7 +43,6 @@ if _SRC not in sys.path:
 
 from repro import RenderCache, run_study  # noqa: E402
 from repro.obs import NULL_RECORDER, Recorder  # noqa: E402
-from repro.webaudio.config import get_default_render_path  # noqa: E402
 
 MICRO_OPS = 200_000
 NULL_SPAN_BUDGET_US = 2.0
@@ -121,8 +119,7 @@ def main() -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "workload": {"users": args.users, "iterations": args.iterations,
-                     "renders_off": "per distinct class",
-                     "render_path": get_default_render_path()},
+                     "renders_off": "per distinct class"},
         "micro_us_per_op": {"null": micro_null, "recorder": micro_live,
                             "ops": MICRO_OPS},
         "study_wall_s": {"disabled": round(off, 4),

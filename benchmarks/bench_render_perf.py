@@ -5,12 +5,13 @@ workload (9000 grid items).
 
 Three timed configurations, all producing bit-identical datasets:
 
-  baseline  cache disabled, ``batched=False`` — one engine pass per grid
-            item, one pool task per class: the pre-batching cost model.
-  batched   cache disabled, ``batched=True`` — misses grouped by
-            (vector, stack) and rendered through the engine's batch axis,
-            at the same worker count as the baseline. This isolates the
-            batching win from the caching win.
+  baseline  cache disabled, ``study._MAX_BATCH`` pinned to 1 — one engine
+            pass per grid item, one pool task per class: the pre-batching
+            cost model.
+  batched   cache disabled — misses grouped by (vector, stack) and
+            rendered through the engine's batch axis, at the same worker
+            count as the baseline. This isolates the batching win from
+            the caching win.
   cached    cache enabled (default driver config) — the production path;
             instrumented with repro.obs, its run report lands in
             benchmarks/.cache/BENCH_render_report.json and feeds the
@@ -18,18 +19,20 @@ Three timed configurations, all producing bit-identical datasets:
             hot nodes, pool utilization).
 
 A worker-scaling sweep re-times the batched cold render at workers =
-1, 2, 4, 8 so the pool thresholds in repro.population.study
-(``_POOL_THRESHOLD``, ``_POOL_GROUP_THRESHOLD``) and the group-count
-chunksize heuristic are pinned to measurements, not folklore.
+1, 2, 4, 8 so the pool threshold in repro.population.study
+(``_POOL_GROUP_THRESHOLD``) and the group-count chunksize heuristic are
+pinned to measurements, not folklore.
 
-All of the above run with ``REPRO_RENDER_PATH=quantum`` so they stay the
-128-frame-loop reference. A fourth timed configuration then re-runs the
-batched cold render on the fused whole-buffer path:
+All of the above run on the 128-frame quantum loop: ``plan_segments`` is
+stubbed to decline every graph, so the context takes its quantum-loop
+fallback (forked pool workers inherit the stub). A fourth timed
+configuration then re-runs the batched cold render on the production
+render path:
 
-  fused     cache disabled, ``batched=True``, ``REPRO_RENDER_PATH=fused``
-            — same workload, whole-buffer segment kernels instead of the
-            quantum loop. Its dataset must equal the baseline's byte for
-            byte (the fused path is pure cost control, never an identity).
+  fused     cache disabled, planner restored — same workload, whole-buffer
+            segment kernels instead of the quantum loop. Its dataset must
+            equal the baseline's byte for byte (the fused path is pure
+            cost control, never an identity).
 
 Acceptance floor (asserted, so later PRs have a trajectory to beat):
 >= 95% hit rate, cached speedup >= 10x, batched cold throughput >= 3x
@@ -46,6 +49,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(os.path.dirname(_HERE), "src")
@@ -54,12 +58,28 @@ if _SRC not in sys.path:
 
 from repro import RenderCache, run_study  # noqa: E402
 from repro.obs import Histogram  # noqa: E402
-from repro.population.study import (  # noqa: E402
-    _MAX_BATCH, _POOL_GROUP_THRESHOLD, _POOL_THRESHOLD)
-from repro.webaudio import ENGINE_VERSION  # noqa: E402
+from repro.population import study  # noqa: E402
+from repro.webaudio import ENGINE_VERSION, context  # noqa: E402
 
 VECTORS = ("dc", "fft", "hybrid")
 SWEEP_WORKERS = (1, 2, 4, 8)
+
+
+@contextmanager
+def _patched(module, name, value):
+    """Temporarily replace ``module.name``; forked pool workers inherit
+    the replacement."""
+    original = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+
+
+def _quantum_loop():
+    """Every render on the quantum loop: the planner declines all graphs."""
+    return _patched(context, "plan_segments", lambda nodes, destination: None)
 
 
 def _breakdown(report: dict) -> dict:
@@ -134,73 +154,69 @@ def main() -> int:
     common = dict(user_count=args.users, iterations=args.iterations,
                   vectors=VECTORS, seed=args.seed, workers=args.workers)
 
-    # pin the reference runs to the quantum loop (the env var also reaches
-    # pool workers); the fused section flips this to "fused" at the end
-    os.environ["REPRO_RENDER_PATH"] = "quantum"
-
     print(f"workload: {args.users} users x {args.iterations} iterations "
           f"x {len(VECTORS)} vectors = {grid_items} grid items")
 
     report_path = os.path.join(_HERE, ".cache", "BENCH_render_report.json")
     os.makedirs(os.path.dirname(report_path), exist_ok=True)
 
-    cache = RenderCache()
-    t0 = time.perf_counter()
-    cached_dataset = run_study(cache=cache, report_path=report_path, **common)
-    cached_wall = time.perf_counter() - t0
-    stats = cache.stats()
-    distinct_classes = stats["entries"]
-    print(f"cached run:   {cached_wall:8.2f}s  "
-          f"({distinct_classes} classes rendered, "
-          f"hit rate {stats['hit_rate']:.4f})")
+    with _quantum_loop():
+        cache = RenderCache()
+        t0 = time.perf_counter()
+        cached_dataset = run_study(cache=cache, report_path=report_path,
+                                   **common)
+        cached_wall = time.perf_counter() - t0
+        stats = cache.stats()
+        distinct_classes = stats["entries"]
+        print(f"cached run:   {cached_wall:8.2f}s  "
+              f"({distinct_classes} classes rendered, "
+              f"hit rate {stats['hit_rate']:.4f})")
 
-    batched = RenderCache(disabled=True)
-    t0 = time.perf_counter()
-    batched_dataset = run_study(cache=batched, **common)
-    batched_wall = time.perf_counter() - t0
-    print(f"batched run:  {batched_wall:8.2f}s  ({grid_items} renders, "
-          f"batch axis, cache disabled)")
+        t0 = time.perf_counter()
+        batched_dataset = run_study(cache=RenderCache(disabled=True), **common)
+        batched_wall = time.perf_counter() - t0
+        print(f"batched run:  {batched_wall:8.2f}s  ({grid_items} renders, "
+              f"batch axis, cache disabled)")
 
-    baseline = RenderCache(disabled=True)
-    t0 = time.perf_counter()
-    baseline_dataset = run_study(cache=baseline, batched=False, **common)
-    baseline_wall = time.perf_counter() - t0
-    print(f"baseline run: {baseline_wall:8.2f}s  ({grid_items} renders, "
-          f"per-class, cache disabled)")
-
-    bit_identical = (cached_dataset == baseline_dataset == batched_dataset)
-    if not bit_identical:
-        print("FATAL: datasets differ between configurations")
-        return 1
-
-    sweep = []
-    if not args.skip_sweep:
-        print("worker sweep (batched, cache disabled):")
-        for workers in SWEEP_WORKERS:
-            sweep_common = dict(common, workers=workers)
+        with _patched(study, "_MAX_BATCH", 1):
             t0 = time.perf_counter()
-            sweep_dataset = run_study(cache=RenderCache(disabled=True),
-                                      **sweep_common)
-            wall = time.perf_counter() - t0
-            ok = sweep_dataset == baseline_dataset
-            sweep.append({
-                "workers": workers,
-                "wall_s": round(wall, 4),
-                "renders_per_s": round(grid_items / wall, 2),
-                "bit_identical": ok,
-            })
-            print(f"  workers={workers}:  {wall:8.2f}s  "
-                  f"({grid_items / wall:7.1f} renders/s)"
-                  + ("" if ok else "  DATASET MISMATCH"))
-            if not ok:
-                print("FATAL: sweep dataset differs from baseline dataset")
-                return 1
+            baseline_dataset = run_study(cache=RenderCache(disabled=True),
+                                         **common)
+            baseline_wall = time.perf_counter() - t0
+        print(f"baseline run: {baseline_wall:8.2f}s  ({grid_items} renders, "
+              f"per-class, cache disabled)")
 
-    os.environ["REPRO_RENDER_PATH"] = "fused"
+        bit_identical = (cached_dataset == baseline_dataset == batched_dataset)
+        if not bit_identical:
+            print("FATAL: datasets differ between configurations")
+            return 1
+
+        sweep = []
+        if not args.skip_sweep:
+            print("worker sweep (batched, cache disabled):")
+            for workers in SWEEP_WORKERS:
+                sweep_common = dict(common, workers=workers)
+                t0 = time.perf_counter()
+                sweep_dataset = run_study(cache=RenderCache(disabled=True),
+                                          **sweep_common)
+                wall = time.perf_counter() - t0
+                ok = sweep_dataset == baseline_dataset
+                sweep.append({
+                    "workers": workers,
+                    "wall_s": round(wall, 4),
+                    "renders_per_s": round(grid_items / wall, 2),
+                    "bit_identical": ok,
+                })
+                print(f"  workers={workers}:  {wall:8.2f}s  "
+                      f"({grid_items / wall:7.1f} renders/s)"
+                      + ("" if ok else "  DATASET MISMATCH"))
+                if not ok:
+                    print("FATAL: sweep dataset differs from baseline dataset")
+                    return 1
+
     t0 = time.perf_counter()
     fused_dataset = run_study(cache=RenderCache(disabled=True), **common)
     fused_wall = time.perf_counter() - t0
-    os.environ["REPRO_RENDER_PATH"] = "quantum"
     fused_identical = fused_dataset == baseline_dataset
     fused_speedup = batched_wall / fused_wall
     print(f"fused run:    {fused_wall:8.2f}s  ({grid_items} renders, "
@@ -234,7 +250,7 @@ def main() -> int:
             "wall_s": round(batched_wall, 4),
             "renders_performed": grid_items,
             "renders_per_s": round(grid_items / batched_wall, 2),
-            "max_batch": _MAX_BATCH,
+            "max_batch": study._MAX_BATCH,
         },
         "baseline": {
             "wall_s": round(baseline_wall, 4),
@@ -252,11 +268,10 @@ def main() -> int:
         "batching_speedup": round(batching_speedup, 2),
         "datasets_bit_identical": bit_identical,
         "pool_thresholds": {
-            "per_class_jobs": _POOL_THRESHOLD,
-            "batch_groups": _POOL_GROUP_THRESHOLD,
-            "note": "pool engages at >= these job counts; the worker sweep "
-                    "below measures where extra workers actually pay off "
-                    "on this machine",
+            "batch_groups": study._POOL_GROUP_THRESHOLD,
+            "note": "pool engages at >= this many batch-group jobs; the "
+                    "worker sweep below measures where extra workers "
+                    "actually pay off on this machine",
         },
         "worker_sweep": sweep,
     }

@@ -63,8 +63,7 @@ def _service(directory, recorder=None, **config):
 
 def bench_sustained(directory, visits, users):
     recorder = Recorder()
-    service = _service(directory, recorder, snapshot_every=512,
-                       sync_every=8)
+    service = _service(directory, recorder, snapshot_every=512)
 
     async def go():
         await service.start()

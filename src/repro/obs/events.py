@@ -70,7 +70,7 @@ EVENT_KINDS = frozenset({
     "job.failed", "job.retry", "job.bisected", "job.quarantined",
     "pool.rebuild", "pool.inline_fallback",
     # render workers (shipped across the pool boundary)
-    "render.batch", "render.class",
+    "render.batch",
     # sharded studies
     "shard.start", "shard.end", "shard.resume", "shard.quarantine",
     # online matching service (repro.service)

@@ -294,6 +294,13 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:.3f}"
 
 
+def _seconds_valued(name: str) -> bool:
+    """Histograms named ``*_s`` (``pool.task_wall_s``,
+    ``render.latency_s.dc``) observe seconds; the rest observe plain
+    values such as ``render.batch_size`` rows."""
+    return any(part.endswith("_s") for part in name.split("."))
+
+
 def render_report(payload: dict) -> str:
     """Render a report dict as human-readable tables."""
     out: list[str] = []
@@ -319,18 +326,25 @@ def render_report(payload: dict) -> str:
             if k in cache))
 
     histograms = payload.get("histograms", {})
-    if histograms:
-        out.append("")
-        out.append("latency histograms:")
+    for title, seconds, fmt, suffix in (
+            ("latency histograms:", True, _ms, "_ms"),
+            ("value histograms:", False, "{:.4g}".format, "")):
+        names = [n for n in sorted(histograms)
+                 if _seconds_valued(n) == seconds]
+        if not names:
+            continue
         rows = []
-        for name in sorted(histograms):
+        for name in names:
             hist = Histogram.from_dict(histograms[name])
-            rows.append([name, str(hist.count), _ms(hist.mean),
-                         _ms(hist.approx_quantile(0.5)),
-                         _ms(hist.approx_quantile(0.95)),
-                         _ms(hist.max or 0.0)])
-        out.append(_table(["histogram", "n", "mean_ms", "p50_ms", "p95_ms",
-                           "max_ms"], rows))
+            rows.append([name, str(hist.count), fmt(hist.mean),
+                         fmt(hist.approx_quantile(0.5)),
+                         fmt(hist.approx_quantile(0.95)),
+                         fmt(hist.max or 0.0)])
+        out.append("")
+        out.append(title)
+        out.append(_table(["histogram", "n"] + [
+            column + suffix for column in ("mean", "p50", "p95", "max")],
+            rows))
 
     counters = payload.get("counters", {})
     if counters:

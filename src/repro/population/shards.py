@@ -4,7 +4,7 @@
 the paper's 2,093 users, not at the north star's millions. This module
 partitions the population into deterministic, independently seeded
 shards and renders them one at a time through the exact machinery the
-monolithic driver uses (`_plan` / `_render_classes` — supervision,
+monolithic driver uses (`_plan` / `_render_phase` — supervision,
 retry, bisection, checkpoint-resume, chaos hooks all included), then
 streams each shard's per-user series to disk instead of holding them:
 
@@ -52,7 +52,7 @@ from .cache import RenderCache
 from .dataset import StudyDataset
 from .sampler import sample_population_slice
 from .study import (_CHECKPOINT_EVERY, _keyed_to_render, _load_resume,
-                    _plan, _render_classes, _resolve_workers,
+                    _plan, _render_phase, _resolve_workers,
                     _validate_study_args)
 
 SHARD_KIND = "repro.study.shard"
@@ -478,7 +478,6 @@ def run_study_sharded(user_count: int, shard_size: int | None,
                       cache: RenderCache | None = None,
                       workers: int | None = None, recorder=None,
                       report_path: str | None = None,
-                      batched: bool = True,
                       checkpoint_every: int = _CHECKPOINT_EVERY,
                       retry_policy=None, retry_budget: int | None = None,
                       event_log_path: str | None = None,
@@ -534,7 +533,7 @@ def run_study_sharded(user_count: int, shard_size: int | None,
     try:
         return _run_study_sharded(
             user_count, out_dir, iterations, vectors, seed, ranges, cache,
-            workers, recorder, measuring, report_path, batched,
+            workers, recorder, measuring, report_path,
             checkpoint_every, retry_policy, retry_budget, event_log_path,
             progress, resume, analyze)
     finally:
@@ -546,15 +545,15 @@ def run_study_sharded(user_count: int, shard_size: int | None,
 
 def _run_study_sharded(user_count, out_dir, iterations, vectors, seed,
                        ranges, cache, workers, recorder, measuring,
-                       report_path, batched, checkpoint_every, retry_policy,
+                       report_path, checkpoint_every, retry_policy,
                        retry_budget, event_log_path, progress, resume,
                        analyze) -> ShardedStudy:
     workers, requested_workers, cpu = _resolve_workers(workers)
     result = ShardedStudy(out_dir=out_dir, user_count=user_count,
                           iterations=iterations, vectors=vectors, seed=seed)
     recorder.event("study.start", users=user_count, iterations=iterations,
-                   vectors=list(vectors), seed=seed, batched=batched,
-                   workers=workers, sharded=True, shards=len(ranges))
+                   vectors=list(vectors), seed=seed, workers=workers,
+                   sharded=True, shards=len(ranges))
 
     # phase "plan" covers the *shard geometry* — per-shard population
     # sampling and grid planning happen inside each shard's render (that
@@ -579,7 +578,7 @@ def _run_study_sharded(user_count, out_dir, iterations, vectors, seed,
     with recorder.span("render", shards=len(ranges)):
         grid_items, rendered_classes, any_pooled = _render_shards(
             ranges, result, study, user_count, iterations, vectors, seed,
-            cache, workers, requested_workers, recorder, measuring, batched,
+            cache, workers, requested_workers, recorder, measuring,
             checkpoint_every, checkpoint_info, retry_policy, retry_budget,
             progress, resume, analyze, summaries, seen_classes,
             shard_reports)
@@ -614,7 +613,7 @@ def _run_study_sharded(user_count, out_dir, iterations, vectors, seed,
                 "jobs": int(recorder.counters.get("pool.jobs", 0)),
                 "requested": (requested_workers
                               if requested_workers is not None else workers),
-                "cpu_count": cpu, "batched": batched, "supervised": True,
+                "cpu_count": cpu, "supervised": True,
                 "rebuilds": resilience_info.get("degraded", {}).get(
                     "pool_rebuilds", 0),
                 "busy_s": round(busy_s, 6),
@@ -636,7 +635,7 @@ def _run_study_sharded(user_count, out_dir, iterations, vectors, seed,
 
 def _render_shards(ranges, result, study, user_count, iterations, vectors,
                    seed, cache, workers, requested_workers, recorder,
-                   measuring, batched, checkpoint_every, checkpoint_info,
+                   measuring, checkpoint_every, checkpoint_info,
                    retry_policy, retry_budget, progress, resume, analyze,
                    summaries, seen_classes, shard_reports):
     """The shard loop: render (or resume) each range, stream it to disk,
@@ -689,9 +688,9 @@ def _render_shards(ranges, result, study, user_count, iterations, vectors,
                                    recorder, checkpoint_info)
             keyed = _keyed_to_render(cache, item_keys, classes, resumed,
                                      recorder)
-            rendered, supervisor, job_count, pooled = _render_classes(
-                keyed, batched=batched, measuring=measuring,
-                recorder=recorder, cache=cache, seed=seed, workers=workers,
+            rendered, supervisor, job_count, pooled = _render_phase(
+                keyed, measuring=measuring, recorder=recorder, cache=cache,
+                seed=seed, workers=workers,
                 requested_workers=requested_workers, fingerprint=shard_fp,
                 checkpoint_path=paths.checkpoint,
                 checkpoint_every=checkpoint_every,

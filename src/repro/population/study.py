@@ -26,9 +26,9 @@ jitter path), the grid collapses to its distinct equivalence classes:
   3. ASSEMBLE — build the per-user series by cache lookup only.
 
 With the cache disabled the driver degrades to the honest baseline: one
-real render per grid item (still batched by group unless ``batched=False``,
-which restores the one-task-per-class path the benchmark uses as its
-serial comparison baseline). ``bench_render_perf.py`` measures both gaps.
+real render per grid item, still batched by group. ``bench_render_perf.py``
+measures the cache gap and (with ``_MAX_BATCH`` pinned to 1) the batching
+gap.
 
 Observability (repro.obs) is threaded through all three phases but is
 off by default: the ``recorder`` defaults to the null object, render
@@ -80,12 +80,12 @@ from .sampler import sample_population
 
 _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
 
-#: Pool engagement thresholds, measured by benchmarks/bench_render_perf.py
+#: Pool engagement threshold, measured by benchmarks/bench_render_perf.py
 #: (see the "pool" section of BENCH_render.json — the worker sweep records
 #: where process-pool overhead actually pays off on this workload):
-#: below these job counts, fork + pickle overhead loses to inline rendering.
-_POOL_THRESHOLD = 24        # per-class jobs (batched=False path)
-_POOL_GROUP_THRESHOLD = 4   # batch groups are fatter, so fewer justify a pool
+#: below this many batch-group jobs, fork + pickle overhead loses to inline
+#: rendering.
+_POOL_GROUP_THRESHOLD = 4
 
 #: Batch rows per engine pass. Caps the working set of a batched render
 #: ((B, channels, 5000) float64 blocks plus the analyser history) while
@@ -106,42 +106,6 @@ _HEX_DIGITS = frozenset(string.hexdigits.lower())
 
 def _user_rng(seed: int, user_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _STUDY_STREAM, user_index]))
-
-
-def _render_class(job: tuple[str, str, AudioStack, str, int]):
-    """Pool worker: render one equivalence class. Top-level for pickling.
-
-    Returns ``(key, efp, metrics)`` where metrics is None unless the job
-    asked to be measured — the serializable snapshot the parent merges
-    (its ``events`` list rides the same boundary and is merged
-    seq-ordered into the parent's event log). ``render_fault`` is the
-    env-gated chaos hook: a no-op (one env lookup) unless
-    ``$REPRO_FAULTS`` names an active fault plan.
-    """
-    key, vector_name, stack, path, measure = job
-    corrupt = render_fault(key)
-    if not measure:
-        efp = get_vector(vector_name).render(stack, path)
-        return key, (CORRUPT_EFP if corrupt else efp), None
-    start = time.perf_counter()
-    if measure >= _MEASURE_NODES:
-        with profile_nodes() as profiler:
-            efp = get_vector(vector_name).render(stack, path)
-    else:
-        profiler = None
-        efp = get_vector(vector_name).render(stack, path)
-    wall = time.perf_counter() - start
-    metrics = {
-        "vector": vector_name,
-        "stack": stack.cache_key(),
-        "wall_s": wall,
-        "events": [make_event("render.class", vector=vector_name, key=key,
-                              wall_s=wall)],
-    }
-    if profiler is not None:
-        metrics["nodes"] = profiler.seconds
-        metrics["node_calls"] = profiler.calls
-    return key, (CORRUPT_EFP if corrupt else efp), metrics
 
 
 def _render_group(job: tuple[str, AudioStack, list, int]):
@@ -189,30 +153,6 @@ def _render_group(job: tuple[str, AudioStack, list, int]):
     return list(zip(keys, efps)), metrics
 
 
-def _make_jobs(keyed_classes, measuring: bool):
-    """Per-class jobs: attach a measure level to each (key, class) pair.
-
-    When measuring, every job is timed and the first job per distinct
-    (vector, stack) pair also carries the per-node profiler — planning
-    order is deterministic, so the profiled set is identical at any
-    worker count.
-    """
-    if not measuring:
-        return [(key, vector_name, stack, path, _MEASURE_OFF)
-                for key, (vector_name, stack, path) in keyed_classes]
-    jobs = []
-    profiled: set[tuple[str, str]] = set()
-    for key, (vector_name, stack, path) in keyed_classes:
-        pair = (vector_name, stack.cache_key())
-        if pair in profiled:
-            measure = _MEASURE_TIME
-        else:
-            profiled.add(pair)
-            measure = _MEASURE_NODES
-        jobs.append((key, vector_name, stack, path, measure))
-    return jobs
-
-
 def _group_jobs(keyed_classes, measuring: bool):
     """Batch-group jobs: group classes by (vector, stack), split at
     ``_MAX_BATCH`` rows, attach measure levels.
@@ -253,11 +193,6 @@ def _valid_efp(value) -> bool:
         and set(value) <= _HEX_DIGITS
 
 
-def _validate_class_result(job, result) -> bool:
-    key, efp, _metrics = result
-    return key == job[0] and _valid_efp(efp)
-
-
 def _validate_group_result(job, result) -> bool:
     pairs, _metrics = result
     members = job[2]
@@ -265,10 +200,6 @@ def _validate_group_result(job, result) -> bool:
         return False
     return all(key == member_key and _valid_efp(efp)
                for (key, efp), (member_key, _) in zip(pairs, members))
-
-
-def _class_job_keys(job) -> list[str]:
-    return [job[0]]
 
 
 def _group_job_keys(job) -> list[str]:
@@ -287,19 +218,6 @@ def _split_group_job(job):
     tail_measure = _MEASURE_TIME if measure else _MEASURE_OFF
     return [(vector_name, stack, members[:mid], measure),
             (vector_name, stack, members[mid:], tail_measure)]
-
-
-def _absorb_metrics(recorder, metrics: dict) -> None:
-    """Fold one worker-returned metrics snapshot into the parent recorder."""
-    recorder.count("render.renders")
-    recorder.observe(f"render.latency_s.{metrics['vector']}", metrics["wall_s"])
-    recorder.observe("pool.task_wall_s", metrics["wall_s"])
-    for event in metrics.get("events", ()):
-        recorder.merge_event(event)
-    if "nodes" in metrics:
-        recorder.count("render.profiled_renders")
-        recorder.record_node_profile(metrics["stack"], metrics["nodes"],
-                                     metrics["node_calls"])
 
 
 def _absorb_batch_metrics(recorder, metrics: dict) -> None:
@@ -459,10 +377,10 @@ def _keyed_to_render(cache, item_keys, classes, resumed, recorder):
                 if key not in resumed and cache.get(key) is None]
 
 
-def _render_classes(keyed, *, batched, measuring, recorder, cache, seed,
-                    workers, requested_workers, fingerprint,
-                    checkpoint_path, checkpoint_every, checkpoint_info,
-                    retry_policy, retry_budget, progress, resumed):
+def _render_phase(keyed, *, measuring, recorder, cache, seed, workers,
+                  requested_workers, fingerprint, checkpoint_path,
+                  checkpoint_every, checkpoint_info, retry_policy,
+                  retry_budget, progress, resumed):
     """Render ``keyed`` classes under supervision; the render-phase core
     shared by ``run_study`` and the sharded driver.
 
@@ -471,32 +389,21 @@ def _render_classes(keyed, *, batched, measuring, recorder, cache, seed,
     supervisor carries the resilience summary. Completed renders are
     pushed into the cache before returning.
     """
-    if batched:
-        jobs = _group_jobs(keyed, measuring)
-        threshold = _POOL_GROUP_THRESHOLD
-        worker, absorb = _render_group, _absorb_batch_metrics
-        splitter, validator, keys_of = (_split_group_job,
-                                        _validate_group_result,
-                                        _group_job_keys)
-    else:
-        jobs = _make_jobs(keyed, measuring)
-        threshold = _POOL_THRESHOLD
-        worker, absorb = _render_class, _absorb_metrics
-        splitter, validator, keys_of = (None, _validate_class_result,
-                                        _class_job_keys)
-    pooled = bool(workers and workers > 1 and len(jobs) >= threshold)
+    jobs = _group_jobs(keyed, measuring)
+    pooled = bool(workers and workers > 1
+                  and len(jobs) >= _POOL_GROUP_THRESHOLD)
     if requested_workers is not None and workers < requested_workers:
         recorder.count("pool.workers_clamped", requested_workers - workers)
-    if not pooled and len(jobs) >= threshold and workers <= 1 \
+    if not pooled and len(jobs) >= _POOL_GROUP_THRESHOLD and workers <= 1 \
             and (requested_workers is None or requested_workers > 1):
         # enough jobs to pool, but fan-out cannot win on this machine
         recorder.count("pool.fanout_skipped")
     budget = None if retry_budget is None else RetryBudget(retry_budget)
     supervisor = SupervisedExecutor(
-        worker, workers=workers if pooled else 0,
+        _render_group, workers=workers if pooled else 0,
         policy=retry_policy, budget=budget, recorder=recorder,
-        seed=seed, splitter=splitter, validator=validator,
-        keys_of=keys_of)
+        seed=seed, splitter=_split_group_job,
+        validator=_validate_group_result, keys_of=_group_job_keys)
 
     meter = None
     if progress:
@@ -520,16 +427,10 @@ def _render_classes(keyed, *, batched, measuring, recorder, cache, seed,
                            completed_jobs=completed_jobs)
 
     try:
-        for result in supervisor.run(jobs):
-            if batched:
-                pairs, metrics = result
-                for key, efp in pairs:
-                    rendered[key] = efp
-            else:
-                key, efp, metrics = result
-                rendered[key] = efp
+        for pairs, metrics in supervisor.run(jobs):
+            rendered.update(pairs)
             if metrics is not None:
-                absorb(recorder, metrics)
+                _absorb_batch_metrics(recorder, metrics)
             completed_jobs += 1
             if checkpoint_path is not None \
                     and completed_jobs % checkpoint_every == 0:
@@ -562,7 +463,6 @@ def run_study(user_count: int, iterations: int = 30,
               seed: int = 2021, cache: RenderCache | None = None,
               workers: int | None = None, recorder=None,
               report_path: str | None = None,
-              batched: bool = True,
               checkpoint_path: str | None = None,
               checkpoint_every: int = _CHECKPOINT_EVERY,
               retry_policy: RetryPolicy | None = None,
@@ -582,9 +482,6 @@ def run_study(user_count: int, iterations: int = 30,
     recorder.
     ``report_path``: write a machine-readable run report (see repro.obs)
     here after the study completes.
-    ``batched``: True (default) renders cache misses grouped by
-    (vector, stack) through the engine's batch axis; False renders one
-    class per task — the serial baseline the benchmark compares against.
     ``checkpoint_path``: crash-safely checkpoint rendered eFPs here every
     ``checkpoint_every`` completed render jobs; if the file already holds
     a checkpoint of *this* study, its classes are not re-rendered
@@ -605,7 +502,7 @@ def run_study(user_count: int, iterations: int = 30,
     ETA — to stderr (or the stream) while the render phase runs. Off by
     default and costs nothing when off.
     Results are bit-identical regardless of worker count, cache state,
-    batching, observability, checkpoint resume, or any fault recovery
+    batch size, observability, checkpoint resume, or any fault recovery
     that succeeds.
     """
     _validate_study_args(user_count, iterations, vectors, workers,
@@ -625,7 +522,7 @@ def run_study(user_count: int, iterations: int = 30,
     try:
         return _run_study(
             user_count, iterations, tuple(vectors), seed, cache, workers,
-            recorder, measuring, report_path, batched, checkpoint_path,
+            recorder, measuring, report_path, checkpoint_path,
             checkpoint_every, retry_policy, retry_budget, event_log_path,
             progress)
     finally:
@@ -636,7 +533,7 @@ def run_study(user_count: int, iterations: int = 30,
 
 
 def _run_study(user_count, iterations, vectors, seed, cache, workers,
-               recorder, measuring, report_path, batched, checkpoint_path,
+               recorder, measuring, report_path, checkpoint_path,
                checkpoint_every, retry_policy, retry_budget, event_log_path,
                progress) -> StudyDataset:
     """The study body; ``run_study`` owns argument validation and the
@@ -644,8 +541,7 @@ def _run_study(user_count, iterations, vectors, seed, cache, workers,
     workers, requested_workers, cpu = _resolve_workers(workers)
 
     recorder.event("study.start", users=user_count, iterations=iterations,
-                   vectors=list(vectors), seed=seed, batched=batched,
-                   workers=workers)
+                   vectors=list(vectors), seed=seed, workers=workers)
 
     recorder.event("phase.start", phase="plan")
     with recorder.span("plan", users=user_count, iterations=iterations,
@@ -668,8 +564,8 @@ def _run_study(user_count, iterations, vectors, seed, cache, workers,
         resumed = _load_resume(checkpoint_path, fingerprint, classes,
                                recorder, checkpoint_info)
         keyed = _keyed_to_render(cache, item_keys, classes, resumed, recorder)
-        rendered, supervisor, job_count, pooled = _render_classes(
-            keyed, batched=batched, measuring=measuring, recorder=recorder,
+        rendered, supervisor, job_count, pooled = _render_phase(
+            keyed, measuring=measuring, recorder=recorder,
             cache=cache, seed=seed, workers=workers,
             requested_workers=requested_workers, fingerprint=fingerprint,
             checkpoint_path=checkpoint_path,
@@ -692,7 +588,6 @@ def _run_study(user_count, iterations, vectors, seed, cache, workers,
             "requested": (requested_workers if requested_workers is not None
                           else workers),
             "cpu_count": cpu,
-            "batched": batched,
             "supervised": True,
             "rebuilds": resilience_info["degraded"]["pool_rebuilds"],
             "busy_s": round(busy_s, 6),

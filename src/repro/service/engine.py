@@ -60,11 +60,10 @@ class ServiceConfig:
     breaker_threshold: float = 0.5  # miss fraction that trips
     breaker_cooldown_s: float = 0.5
     snapshot_every: int = 256       # applied visits between snapshots
-    sync_every: int = 1             # WAL fsync cadence (acks always sync)
 
     def __post_init__(self):
         for name in ("queue_limit", "batch_max", "breaker_window",
-                     "breaker_min_samples", "snapshot_every", "sync_every"):
+                     "breaker_min_samples", "snapshot_every"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < 1:
@@ -263,8 +262,7 @@ class FingerprintService:
                 f"service in phase {self._phase!r} cannot start "
                 "(construct a fresh instance per run)")
         self.recover()
-        self.wal = WriteAheadLog(self.wal_path,
-                                 sync_every=self.config.sync_every)
+        self.wal = WriteAheadLog(self.wal_path)
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
         self._consumer = asyncio.create_task(self._consume())
         self._phase = "running"

@@ -96,19 +96,16 @@ def read_wal(path: str, offset: int = 0):
 
 
 class WriteAheadLog:
-    """Append-only fsync'd visit log.
+    """Append-only fsync'd visit log with group commit.
 
-    ``sync_every`` trades durability latency for throughput: appends are
-    flushed immediately but fsync'd every N records (group commit); the
-    engine calls ``sync()`` at each batch boundary before acking, so an
-    *acked* visit is always durable regardless of the cadence.
+    ``append`` writes and flushes; ``sync`` is the one fsync, issued by
+    the engine once per consumer batch before any of the batch's visits
+    is acked — so an *acked* visit is always durable, and a batch of N
+    visits costs one fsync, not N.
     """
 
-    def __init__(self, path: str, sync_every: int = 1):
-        if sync_every < 1:
-            raise ValueError(f"sync_every must be >= 1, got {sync_every}")
+    def __init__(self, path: str):
         self.path = path
-        self.sync_every = sync_every
         self.torn_tail_repaired = False
         directory = os.path.dirname(path)
         if directory:
@@ -153,8 +150,6 @@ class WriteAheadLog:
         self._fh.flush()
         self.offset += len(line)  # ensure_ascii JSON: chars == bytes
         self._unsynced += 1
-        if self._unsynced >= self.sync_every:
-            self.sync()
 
     def sync(self) -> None:
         """fsync pending appends — the commit point acks wait behind."""

@@ -11,9 +11,7 @@ render cache at once (see DESIGN.md, "Performance architecture").
 ENGINE_VERSION = "1"
 RENDER_QUANTUM_FRAMES = 128
 
-from .config import (EngineConfig, CompressorParams, NumpyMath,  # noqa: E402
-                     RENDER_BACKENDS, RENDER_PATHS,
-                     get_default_render_path, set_default_render_path)
+from .config import EngineConfig, CompressorParams, NumpyMath  # noqa: E402
 from .buffer import AudioBuffer  # noqa: E402
 from .context import OfflineAudioContext  # noqa: E402
 from .oscillator import OscillatorNode, PeriodicWave  # noqa: E402
@@ -24,7 +22,6 @@ from .analyser import AnalyserNode  # noqa: E402
 from .script_processor import ScriptProcessorNode  # noqa: E402
 from .segments import FusedPlan, Segment, plan_segments  # noqa: E402
 from . import fft  # noqa: E402
-from . import jit  # noqa: E402
 
 __all__ = [
     "ENGINE_VERSION",
@@ -32,14 +29,9 @@ __all__ = [
     "EngineConfig",
     "CompressorParams",
     "NumpyMath",
-    "RENDER_BACKENDS",
-    "RENDER_PATHS",
-    "get_default_render_path",
-    "set_default_render_path",
     "FusedPlan",
     "Segment",
     "plan_segments",
-    "jit",
     "AudioBuffer",
     "OfflineAudioContext",
     "OscillatorNode",

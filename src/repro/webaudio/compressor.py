@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import RENDER_QUANTUM_FRAMES, jit
+from . import RENDER_QUANTUM_FRAMES
 from .node import AudioNode, batch_uniform, mix_to_channels
 
 _DB_FLOOR = 1e-12  # linear floor before dB conversion
@@ -138,9 +138,7 @@ class DynamicsCompressorNode(AudioNode):
         The per-block scan consumes views of the whole-buffer level array
         and the cached power tables, so every envelope float equals the
         quantum loop's; the transcendental pipeline after it is elementwise
-        and therefore blocking-invariant. On the JIT tier the envelope runs
-        as a numba per-sample recurrence instead — deliberately different
-        rounding, keyed as its own stack identity.
+        and therefore blocking-invariant.
 
         When the input is row-uniform (a batch broadcast — jitter only
         bites at the analyser readout, so inside a render it always is)
@@ -149,8 +147,7 @@ class DynamicsCompressorNode(AudioNode):
         so row 0's floats ARE every row's floats.
         """
         x = inputs[0]
-        config = self.context.config
-        math = config.math
+        math = self.context.config.math
         quantum = RENDER_QUANTUM_FRAMES
         batch = x.shape[0]
         uniform = (batch_uniform(x)
@@ -159,18 +156,13 @@ class DynamicsCompressorNode(AudioNode):
         env0 = self._envelope[:1] if uniform else self._envelope
 
         level = np.abs(mix_to_channels(work, 1)[:, 0, :])    # (rows, length)
-        if jit.jit_active(config):
-            env = jit.envelope_scan(level, self._attack_coef,
-                                    self._release_coef, env0)
-            state = env[:, -1].copy()
-        else:
-            env = np.empty_like(level)
-            state = env0
-            for frame0 in range(0, length, quantum):
-                n = min(quantum, length - frame0)
-                block = self._scan_block(level[:, frame0:frame0 + n], state)
-                state = block[:, -1].copy()
-                env[:, frame0:frame0 + n] = block
+        env = np.empty_like(level)
+        state = env0
+        for frame0 in range(0, length, quantum):
+            n = min(quantum, length - frame0)
+            block = self._scan_block(level[:, frame0:frame0 + n], state)
+            state = block[:, -1].copy()
+            env[:, frame0:frame0 + n] = block
         self._envelope = np.broadcast_to(state, (batch,)).copy() if uniform else state
 
         gain_db, gain_lin = self._gain_pipeline(env, math)

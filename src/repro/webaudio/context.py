@@ -9,9 +9,10 @@ of once per render — the NumPy kernels below it are elementwise or
 fixed-axis reductions, so each batch row is bit-identical to rendering
 that row alone with ``batch_size == 1`` (pinned by tests).
 
-Two execution strategies produce that buffer (``config.render_path``):
+Two execution strategies produce that buffer; every render tries the
+first and falls back to the second:
 
-- **fused** — the default for fusible graphs: ``plan_segments`` checks
+- **fused** — used whenever the graph is fusible: ``plan_segments`` checks
   the graph is an automation-free linear chain of known nodes, then each
   node renders the *entire* buffer in one ``process_buffer`` call. The
   fused NumPy tier is bit-identical to the quantum loop by construction
@@ -124,9 +125,7 @@ class OfflineAudioContext:
         """Render all batch rows at once; returns (B, channels, length)."""
         if self._rendered_batch is not None:
             return self._rendered_batch
-        plan = None
-        if self.config.render_path in ("auto", "fused"):
-            plan = plan_segments(self._nodes, self.destination)
+        plan = plan_segments(self._nodes, self.destination)
         if plan is not None:
             self.render_path_used = "fused"
             self._rendered_batch = self._render_fused(plan)

@@ -15,6 +15,9 @@ import pytest
 from repro import RenderCache, run_study
 from repro.platform import AudioStack
 from repro.platform.jitter import sample_path, sample_repertoire
+from repro.population import StudyDataset
+from repro.population.sampler import sample_population
+from repro.population.study import _plan
 from repro.vectors import AUDIO_VECTORS, FULL_BATTERY, get_vector
 from repro.webaudio.fft import FFT_BACKENDS, get_fft_backend
 
@@ -86,10 +89,29 @@ STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),
              seed=13)
 
 
+def _serial_study(user_count, iterations, vectors, seed) -> StudyDataset:
+    """The reference the driver must match: the driver's own plan
+    (population, jitter paths), but every grid item rendered alone by
+    ``vector.render`` — no cache, no grouping, no batch axis, no pool."""
+    devices = sample_population(user_count, seed)
+    item_keys, classes = _plan(devices, tuple(vectors), iterations, seed)
+    dataset = StudyDataset(seed=seed, user_count=user_count,
+                           iterations=iterations, vectors=tuple(vectors),
+                           users=[d.describe() for d in devices])
+    for name in vectors:
+        vector = get_vector(name)
+        dataset.series[name] = {
+            device.user_id: [
+                vector.render(vector.stack_of(device), classes[key][2])
+                for key in item_keys[(name, device.user_id)]]
+            for device in devices}
+    return dataset
+
+
 class TestGroupingNeverChangesTheDataset:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_study(cache=RenderCache(), workers=0, batched=False, **STUDY)
+        return _serial_study(**STUDY)
 
     @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_batched_equals_serial_at_any_worker_count(self, serial, workers):
@@ -105,10 +127,9 @@ class TestGroupingNeverChangesTheDataset:
     def test_dataset_json_bytes_identical(self, serial, tmp_path):
         """Not just ==: the serialized artifact is byte-for-byte stable."""
         blobs = set()
-        for workers, batched in ((0, True), (2, True), (0, False)):
-            dataset = run_study(cache=RenderCache(), workers=workers,
-                                batched=batched, **STUDY)
-            path = tmp_path / f"w{workers}_b{batched}.json"
+        for workers in (0, 2):
+            dataset = run_study(cache=RenderCache(), workers=workers, **STUDY)
+            path = tmp_path / f"w{workers}.json"
             dataset.save(str(path))
             blobs.add(path.read_bytes())
         serial_path = tmp_path / "serial.json"
@@ -124,13 +145,21 @@ class TestGroupingNeverChangesTheDataset:
         tiny = run_study(cache=RenderCache(), workers=0, **STUDY)
         assert tiny == serial
 
+    def test_single_row_batches_equal_default(self, serial, monkeypatch):
+        """_MAX_BATCH=1 is the per-item baseline the render bench times:
+        every group job renders one row, and the dataset is unchanged."""
+        import repro.population.study as study_mod
+        monkeypatch.setattr(study_mod, "_MAX_BATCH", 1)
+        single = run_study(cache=RenderCache(disabled=True), workers=0,
+                           **STUDY)
+        assert single == serial
+
     def test_full_battery_batched_equals_serial(self):
         """All 11 vectors — audio and comparator — through the driver:
         grouping by (vector, stack) must not change a single byte."""
         kw = dict(user_count=12, iterations=3, vectors=FULL_BATTERY, seed=29)
-        serial = run_study(cache=RenderCache(), workers=0, batched=False, **kw)
         batched = run_study(cache=RenderCache(), workers=0, **kw)
-        assert batched == serial
+        assert batched == _serial_study(**kw)
 
 
 class TestCacheCrashSafety:

@@ -5,8 +5,13 @@ The fused whole-buffer path exists purely as cost control: it must be
 backend, and batch composition — same eFP digests, same StudyDataset
 bytes — or it may not run at all (segmentation declines and the quantum
 loop takes over). These tests pin that invariant, the segmentation
-decision rules, the JIT tier's distinct cache identity, the study
-runner's pool clamp, and the render cache's stale-version pruning.
+decision rules, the study runner's pool clamp, and the render cache's
+stale-version pruning.
+
+The quantum loop is the oracle. Production has no switch for it: the
+context falls back to it only when ``plan_segments`` declines a graph.
+``_on_quantum_loop`` reaches it by stubbing the planner to decline
+everything.
 """
 import json
 
@@ -20,9 +25,7 @@ from repro.platform.jitter import sample_path, sample_repertoire
 from repro.population.cache import _stale_version
 from repro.vectors import AUDIO_VECTORS, get_vector
 from repro.webaudio import ENGINE_VERSION, OfflineAudioContext
-from repro.webaudio.config import EngineConfig
 from repro.webaudio.fft import FFT_BACKENDS
-from repro.webaudio.jit import numba_available
 from repro.webaudio.segments import plan_segments
 
 BACKENDS = sorted(FFT_BACKENDS)
@@ -35,8 +38,14 @@ def _paths_under_load(rng, count):
     return [sample_path(rng, 0.9, repertoire) for _ in range(count)]
 
 
-def _force_path(monkeypatch, path):
-    monkeypatch.setenv("REPRO_RENDER_PATH", path)
+def _on_quantum_loop(render):
+    """Call ``render()`` with every graph declined by the fuser, so each
+    context renders on the quantum loop. Pool workers fork and inherit
+    the stub."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.webaudio.context.plan_segments",
+                   lambda nodes, destination: None)
+        return render()
 
 
 class TestFusedMatchesQuantum:
@@ -44,49 +53,43 @@ class TestFusedMatchesQuantum:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(AUDIO_VECTORS))
-    def test_batched_digests_identical(self, name, backend, monkeypatch):
+    def test_batched_digests_identical(self, name, backend):
         vector = get_vector(name)
         stack = AudioStack("blink", "ucrt", backend, "blink")
         rng = np.random.default_rng(hash((name, backend, "fused")) % 2**32)
         paths = _paths_under_load(rng, 7)
-        _force_path(monkeypatch, "quantum")
-        quantum = vector.render_batch(stack, paths)
-        _force_path(monkeypatch, "fused")
+        quantum = _on_quantum_loop(lambda: vector.render_batch(stack, paths))
         fused = vector.render_batch(stack, paths)
         assert fused == quantum
 
     @pytest.mark.parametrize("batch", [1, 7, 256])
-    def test_every_batch_size(self, batch, monkeypatch):
+    def test_every_batch_size(self, batch):
         vector = get_vector("hybrid")
         stack = AudioStack("gecko", "glibc", "splitradix", "gecko", 48000)
         rng = np.random.default_rng(batch)
         paths = _paths_under_load(rng, batch)
-        _force_path(monkeypatch, "quantum")
-        quantum = vector.render_batch(stack, paths)
-        _force_path(monkeypatch, "fused")
+        quantum = _on_quantum_loop(lambda: vector.render_batch(stack, paths))
         assert vector.render_batch(stack, paths) == quantum
 
-    def test_single_render_identical(self, monkeypatch):
+    def test_single_render_identical(self):
         vector = get_vector("fft")
         stack = AudioStack("webkit", "apple-libm", "bluestein", "webkit")
-        _force_path(monkeypatch, "quantum")
-        quantum = vector.render(stack, None)
-        _force_path(monkeypatch, "fused")
+        quantum = _on_quantum_loop(lambda: vector.render(stack, None))
         assert vector.render(stack, None) == quantum
 
-    def test_rendered_buffer_bytes_identical(self, monkeypatch):
+    def test_rendered_buffer_bytes_identical(self):
         """Not just digests: the raw (B, c, n) buffer is byte-equal."""
-        def _render(path):
-            _force_path(monkeypatch, path)
+        def _render():
             ctx = OfflineAudioContext(1, 5000, 44100, batch_size=3)
             osc = ctx.create_oscillator()
             comp = ctx.create_dynamics_compressor()
             osc.connect(comp).connect(ctx.destination)
             osc.start(0.0)
-            out = ctx.start_rendering_batch()
-            assert ctx.render_path_used == path
-            return out
-        np.testing.assert_array_equal(_render("fused"), _render("quantum"))
+            return ctx.start_rendering_batch(), ctx.render_path_used
+        fused, fused_path = _render()
+        quantum, quantum_path = _on_quantum_loop(_render)
+        assert (fused_path, quantum_path) == ("fused", "quantum")
+        np.testing.assert_array_equal(fused, quantum)
 
 
 STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),
@@ -94,16 +97,15 @@ STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),
 
 
 class TestStudyDatasetAcrossRenderPaths:
-    def test_dataset_json_bytes_identical(self, tmp_path, monkeypatch):
+    def test_dataset_json_bytes_identical(self, tmp_path):
         """The serialized study artifact cannot depend on the render path."""
-        blobs = set()
-        for path in ("quantum", "fused", "auto"):
-            _force_path(monkeypatch, path)
+        def _study_bytes(name):
             dataset = run_study(cache=RenderCache(), workers=0, **STUDY)
-            out = tmp_path / f"{path}.json"
+            out = tmp_path / f"{name}.json"
             dataset.save(str(out))
-            blobs.add(out.read_bytes())
-        assert len(blobs) == 1
+            return out.read_bytes()
+        quantum = _on_quantum_loop(lambda: _study_bytes("quantum"))
+        assert _study_bytes("fused") == quantum
 
 
 class TestSegmentation:
@@ -129,22 +131,21 @@ class TestSegmentation:
         stateful = [s.nodes[0] for s in plan.segments if s.stateful]
         assert stateful == [comp, analyser]
 
-    def test_auto_picks_fused_for_fusible_graph(self):
+    def test_fusible_graph_renders_fused(self):
         ctx, *_ = self._chain()
         ctx.start_rendering()
         assert ctx.render_path_used == "fused"
 
-    def test_quantum_forced_by_config(self):
+    def test_declined_plan_renders_on_quantum_loop(self):
+        """The oracle stub really reaches the quantum loop."""
         ctx, *_ = self._chain()
-        ctx.config = EngineConfig(render_path="quantum")
-        ctx.start_rendering()
+        _on_quantum_loop(ctx.start_rendering)
         assert ctx.render_path_used == "quantum"
 
     def test_automation_falls_back_to_quantum(self):
         ctx, osc, comp, analyser, gain = self._chain()
         gain.gain.set_value_at_time(0.5, 0.05)
         assert plan_segments(ctx._nodes, ctx.destination) is None
-        ctx.config = EngineConfig(render_path="fused")  # forced, still declines
         ctx.start_rendering()
         assert ctx.render_path_used == "quantum"
 
@@ -173,58 +174,28 @@ class TestSegmentation:
         assert ctx.render_path_used == "quantum"
 
     def test_fallback_is_bit_identical(self):
-        """Non-fusible graphs render the same bytes whatever the knob says."""
-        outs = []
-        for path in ("auto", "fused", "quantum"):
-            ctx = OfflineAudioContext(1, 5000, 44100,
-                                      config=EngineConfig(render_path=path))
+        """A non-fusible graph renders the same bytes through the
+        production fallback as through the oracle."""
+        def _render():
+            ctx = OfflineAudioContext(1, 5000, 44100)
             o1, o2 = ctx.create_oscillator(), ctx.create_oscillator()
             o2.frequency.value = 880.0
             o1.connect(ctx.destination)
             o2.connect(ctx.destination)
             o1.start(0.0)
             o2.start(0.0)
-            outs.append(ctx.start_rendering_batch())
+            out = ctx.start_rendering_batch()
             assert ctx.render_path_used == "quantum"
-        np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[0], outs[2])
+            return out
+        np.testing.assert_array_equal(_render(), _on_quantum_loop(_render))
 
 
-class TestJITTier:
-    def test_jit_tier_is_a_distinct_cache_identity(self):
-        numpy_key = AudioStack("blink", "ucrt", "radix2", "blink").cache_key()
-        jit_key = AudioStack("blink", "ucrt", "radix2", "blink",
-                             render_tier="jit").cache_key()
-        assert jit_key != numpy_key
-        assert jit_key.startswith(numpy_key)  # historical keys stay valid
-        assert jit_key.endswith("|jit")
-
-    def test_invalid_render_backend_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(render_backend="cuda")
-        with pytest.raises(ValueError):
-            EngineConfig(render_path="warp")
-
-    @pytest.mark.skipif(numba_available(),
-                        reason="numba present: fallback branch unreachable")
-    def test_numpy_fallback_is_deterministic_and_bit_identical(self):
-        """Without numba, the jit tier silently runs the NumPy kernels:
-        same digests every time, equal to the numpy tier's."""
-        vector = get_vector("hybrid")
-        jit_stack = AudioStack("blink", "ucrt", "radix2", "blink",
-                               render_tier="jit")
-        numpy_stack = AudioStack("blink", "ucrt", "radix2", "blink")
-        first = vector.render(jit_stack, None)
-        assert first == vector.render(jit_stack, None)
-        assert first == vector.render(numpy_stack, None)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_jit_tier_renders_deterministically(self):
-        """With numba, the jit tier is a real, self-consistent identity."""
-        vector = get_vector("hybrid")
-        stack = AudioStack("blink", "ucrt", "radix2", "blink",
-                           render_tier="jit")
-        assert vector.render(stack, None) == vector.render(stack, None)
+class TestCacheIdentity:
+    def test_stack_cache_key_is_historical(self):
+        """One render path, one key: a stack's cache key carries no render
+        tier, so entries written before the tier knob was dropped still hit."""
+        key = AudioStack("blink", "ucrt", "radix2", "blink").cache_key()
+        assert key == f"e{ENGINE_VERSION}|blink|ucrt|radix2|blink|44100|1"
 
 
 class TestPoolClamp:

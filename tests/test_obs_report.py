@@ -87,6 +87,13 @@ class TestStudyReport:
         for marker in ("phases:", "cache:", "latency histograms:",
                        "hot nodes", "pool:"):
             assert marker in text
+        # render.batch_size counts rows, so it prints as plain values,
+        # never in a milliseconds column
+        latency = text.split("latency histograms:")[1].split("\n\n")[0]
+        values = text.split("value histograms:")[1].split("\n\n")[0]
+        assert "render.latency_s.dc" in latency
+        assert "render.batch_size" in values
+        assert "render.batch_size" not in latency and "_ms" not in values
 
 
 class TestValidator:

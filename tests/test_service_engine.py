@@ -421,8 +421,7 @@ class TestMonotonicClockDiscipline:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"queue_limit": 0}, {"batch_max": -1}, {"sync_every": 0},
-        {"snapshot_every": 0}, {"ingest_deadline_s": 0.0},
+        {"queue_limit": 0}, {"batch_max": -1}, {"snapshot_every": 0}, {"ingest_deadline_s": 0.0},
         {"lookup_deadline_s": -1.0}, {"breaker_cooldown_s": 0.0},
         {"breaker_threshold": 0.0}, {"breaker_threshold": 1.5},
         {"breaker_window": 0}, {"breaker_min_samples": 0},

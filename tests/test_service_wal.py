@@ -1,5 +1,6 @@
-"""Service durability: WAL torn-tail repair, snapshot quarantine, and
-the kill-replay determinism pins — a service killed mid-ingest at three
+"""Service durability: WAL torn-tail repair, snapshot quarantine, group
+commit (one fsync per consumer batch), and the kill-replay determinism
+pins — a service killed mid-ingest at three
 different offsets (mid-WAL-record, pre-snapshot-commit, post-snapshot)
 replays + re-ingests to byte-identical identity state, including one
 real ``SIGKILL`` delivered to the CLI."""
@@ -13,7 +14,7 @@ import time
 
 import pytest
 
-from repro import FaultPlan, run_study
+from repro import FaultPlan, Recorder, run_study
 from repro.resilience import Fault
 from repro.resilience.faults import ENV_VAR, SNAPSHOT_KEY, WAL_KEY
 from repro.service import (FingerprintService, ServiceConfig, ServiceCrashed,
@@ -110,6 +111,85 @@ class TestWriteAheadLog:
         loaded, torn, problems = read_wal(path)
         assert [r["visit_id"] for r in loaded] == ["a"]
         assert any("corrupt" in p for p in problems)
+
+
+class TestGroupCommit:
+    CLIENTS = 32
+
+    @staticmethod
+    def _count_fsyncs(monkeypatch):
+        fsynced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsynced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        return fsynced
+
+    def test_append_flushes_and_sync_fsyncs_once(self, tmp_path,
+                                                 monkeypatch):
+        """append puts the bytes in the file without an fsync; sync is
+        one fsync for everything pending, and a no-op when nothing is."""
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
+        fsynced = self._count_fsyncs(monkeypatch)
+        for i in range(3):
+            wal.append({"visit_id": f"v{i}"})
+        assert os.path.getsize(path) == wal.offset
+        assert fsynced == []
+        wal.sync()
+        assert fsynced == [wal._fh.fileno()]
+        wal.sync()
+        assert len(fsynced) == 1
+        wal.close()
+
+    def test_close_commits_pending_appends(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "wal.jsonl")
+        wal = WriteAheadLog(path)
+        wal.append({"visit_id": "a"})
+        fd = wal._fh.fileno()
+        fsynced = self._count_fsyncs(monkeypatch)
+        wal.close()
+        assert fsynced == [fd]
+        loaded, torn, problems = read_wal(path)
+        assert [r["visit_id"] for r in loaded] == ["a"]
+        assert not torn and problems == []
+
+    def test_one_wal_fsync_per_commit_batch(self, tmp_path, monkeypatch):
+        """Concurrent clients fill the consumer's batches; each batch is
+        appended, fsync'd once, then acked. A per-record fsync would cost
+        one fsync per visit instead."""
+        dataset = run_study(workers=0, user_count=60, iterations=5,
+                            vectors=STUDY["vectors"], seed=STUDY["seed"])
+        stream = visits_from_dataset(dataset, seed=5)
+        recorder = Recorder()
+        service = FingerprintService(
+            str(tmp_path / "svc"), STUDY["vectors"],
+            config=ServiceConfig(queue_limit=len(stream)), recorder=recorder)
+        fsynced = self._count_fsyncs(monkeypatch)
+
+        async def client(share):
+            for visit in share:
+                await service.ingest(visit)
+
+        async def go():
+            await service.start()
+            wal_fd = service.wal._fh.fileno()
+            await asyncio.gather(*(client(stream[i::self.CLIENTS])
+                                   for i in range(self.CLIENTS)))
+            # counted while the WAL is still open, so its fd is unambiguous
+            wal_fsyncs = fsynced.count(wal_fd)
+            await service.stop()
+            return wal_fsyncs
+
+        wal_fsyncs = asyncio.run(go())
+        batches = [e["size"] for e in recorder.events
+                   if e["kind"] == "ingest.batch"]
+        assert sum(batches) == service.counts["ingested"] == len(stream)
+        assert wal_fsyncs == len(batches)
+        assert len(batches) <= len(stream) // 8  # commits really grouped
 
 
 class TestSnapshotStore:
