@@ -15,6 +15,27 @@ reproducing Table 1's starkest feature with no special-casing.
 
 The path string is part of the render-cache key, so fickleness costs one
 extra render per *path actually taken*, not one per iteration.
+
+Stream equivalence. The study planner (``repro.population.study``) does
+not call ``sample_path`` per item; it replays each user's stream in
+numpy from raw ``bit_generator.random_raw`` words. The replay relies on
+how numpy's ``Generator`` over ``PCG64`` consumes its bit generator:
+
+* ``random()`` takes one 64-bit word ``w`` and returns
+  ``(w >> 11) * 2**-53``.
+* ``integers(k)`` for ``k > 1`` takes one 32-bit draw: the buffered high
+  half of an earlier word if one is waiting, else the low half of a fresh
+  word (whose high half is then buffered). ``random()`` neither reads
+  nor clears that buffer. The result is Lemire's ``(u32 * k) >> 32``,
+  redrawn only when the low half of the product is below
+  ``(2**32 - k) % k``. The replay cannot follow a redraw, so a user whose
+  product falls below ``k`` is re-planned with ``sample_path`` itself.
+* ``integers(1)`` returns 0 and draws nothing.
+
+``sample_repertoire`` runs as is before the replay, which reads the
+buffered half from ``bit_generator.state``. The tests pin the replay to
+the scalar ``sample_repertoire`` / ``sample_path`` loop, so a numpy
+release that changes any of the above fails them.
 """
 from __future__ import annotations
 

@@ -3,8 +3,8 @@
 Keys are ``vector|stack.cache_key()|jitter_path`` — the complete identity
 of a render's numeric output (ENGINE_VERSION rides inside the stack key,
 so any DSP change invalidates everything at once). Values are eFP digest
-strings, so the cache is tiny even at paper scale: the 2093x30x7 study
-needs only a few hundred entries.
+strings, so the cache is tiny even at paper scale: the 2093x30 study
+with all 11 vectors needs 3,404 entries (seed 2021).
 
 In-memory it is an LRU (OrderedDict move-to-end); optionally it persists
 to a JSON file under ``benchmarks/.cache/`` so repeated benchmark runs

@@ -4,9 +4,10 @@
 the paper's 2,093 users, not at the north star's millions. This module
 partitions the population into deterministic, independently seeded
 shards and renders them one at a time through the exact machinery the
-monolithic driver uses (`_plan` / `_render_phase` — supervision,
-retry, bisection, checkpoint-resume, chaos hooks all included), then
-streams each shard's per-user series to disk instead of holding them:
+monolithic driver uses (`_plan` / `_probe` / `_render_phase` /
+`_assemble` — supervision, retry, bisection, checkpoint-resume, chaos
+hooks all included), then streams each shard's per-user series to disk
+instead of holding them:
 
   shard_<start>_<stop>.jsonl           one compact JSON record per user
   shard_<start>_<stop>.manifest.json   the commit point: study
@@ -51,8 +52,8 @@ from ..webaudio import ENGINE_VERSION
 from .cache import RenderCache
 from .dataset import StudyDataset
 from .sampler import sample_population_slice
-from .study import (_CHECKPOINT_EVERY, _keyed_to_render, _load_resume,
-                    _plan, _render_phase, _resolve_workers,
+from .study import (_CHECKPOINT_EVERY, _assemble, _load_resume, _plan,
+                    _probe, _render_phase, _resolve_workers,
                     _validate_study_args)
 
 SHARD_KIND = "repro.study.shard"
@@ -678,16 +679,15 @@ def _render_shards(ranges, result, study, user_count, iterations, vectors,
         with recorder.span("shard", index=index, start=start, stop=stop) \
                 as shard_span:
             devices = sample_population_slice(user_count, seed, start, stop)
-            item_keys, classes = _plan(devices, vectors, iterations, seed,
-                                       first_index=start)
-            grid_items += sum(len(k) for k in item_keys.values())
-            seen_classes.update(classes)
-            shard_result.classes = len(classes)
+            plan = _plan(devices, vectors, iterations, seed,
+                         first_index=start)
+            grid_items += plan.grid.size
+            seen_classes.update(plan.keys)
+            shard_result.classes = len(plan.keys)
             shard_fp = dict(study, shard=[start, stop])
-            resumed = _load_resume(paths.checkpoint, shard_fp, classes,
+            resumed = _load_resume(paths.checkpoint, shard_fp, plan.index,
                                    recorder, checkpoint_info)
-            keyed = _keyed_to_render(cache, item_keys, classes, resumed,
-                                     recorder)
+            efps, keyed = _probe(cache, plan, resumed, recorder)
             rendered, supervisor, job_count, pooled = _render_phase(
                 keyed, measuring=measuring, recorder=recorder, cache=cache,
                 seed=seed, workers=workers,
@@ -703,18 +703,11 @@ def _render_shards(ranges, result, study, user_count, iterations, vectors,
             if measuring:
                 recorder.count("pool.jobs", job_count)
                 shard_span.set(users=stop - start,
-                               distinct_classes=len(classes),
+                               distinct_classes=len(plan.keys),
                                rendered=len(keyed))
 
-            lookup = rendered.__getitem__ if cache.disabled else cache.get
-            dataset = StudyDataset(
-                seed=seed, user_count=len(devices), iterations=iterations,
-                vectors=vectors, users=[d.describe() for d in devices])
-            for vector_name in vectors:
-                dataset.series[vector_name] = {}
-            for (vector_name, user_id), keys in item_keys.items():
-                dataset.series[vector_name][user_id] = \
-                    [lookup(key) for key in keys]
+            dataset = _assemble(plan, efps, rendered, devices, cache, seed,
+                                iterations, vectors)
             manifest = write_shard(paths, study, index, start, stop, dataset)
             try:
                 os.remove(paths.checkpoint)  # the manifest supersedes it
@@ -726,7 +719,7 @@ def _render_shards(ranges, result, study, user_count, iterations, vectors,
         recorder.count("shard.completed")
         recorder.event("shard.end", shard=index, start=start, stop=stop,
                        records=manifest["data"]["records"],
-                       classes=len(classes))
+                       classes=len(plan.keys))
     return grid_items, rendered_classes, any_pooled
 
 

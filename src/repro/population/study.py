@@ -1,12 +1,16 @@
 """run_study: the deduplicating, cache-backed, supervised study driver.
 
-The paper's headline workload is 2093 users x 30 iterations x 7 vectors
-(~440k renders). Because every eFP is a pure function of (vector, stack,
-jitter path), the grid collapses to its distinct equivalence classes:
+The paper's headline workload is 2093 users x 30 iterations; with the
+full 11-vector battery that is 690,690 grid items. Because every eFP is
+a pure function of (vector, stack, jitter path), the grid collapses to
+its distinct equivalence classes (3,404 on seed 2021):
 
-  1. PLAN     — sample the population, then deterministically pre-draw every
-                iteration's jitter path (cheap, no DSP), producing the full
-                item grid plus the set of distinct class keys.
+  1. PLAN     — sample the population, then replay every user's jitter
+                stream in numpy (no DSP, no per-item strings): each
+                (user, vector, iteration) gets an integer path code, every
+                distinct (user, vector, code) gets one ``make_key`` call,
+                and the grid becomes a ``(users, vectors, iterations)``
+                array of class ids numbered in first-seen order.
   2. RENDER   — probe the cache once per class; group the misses by
                 (vector, stack) and render each group as ONE batched pass
                 through the engine's batch axis (graph built once, all
@@ -23,7 +27,12 @@ jitter path), the grid collapses to its distinct equivalence classes:
                 eFPs are crash-safely checkpointed every
                 ``checkpoint_every`` completed jobs, so a killed run resumes
                 without re-rendering — byte-identical either way.
-  3. ASSEMBLE — build the per-user series by cache lookup only.
+  3. ASSEMBLE — fancy-index the study's own class -> eFP table (probe
+                hits, resumed and rendered classes) with the class-id
+                grid, one ``tolist()`` per vector; the cache is not read
+                again, so an LRU too small for the study loses nothing.
+                The grid items are charged to the cache as one
+                ``record_hit(n)``.
 
 With the cache disabled the driver degrades to the honest baseline: one
 real render per grid item, still batched by group. ``bench_render_perf.py``
@@ -60,13 +69,14 @@ from __future__ import annotations
 import os
 import string
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from ..io import atomic_write_json
 from ..obs import (EventLog, NULL_RECORDER, ProgressMeter, Recorder,
                    make_event, profile_nodes)
-from ..platform.jitter import sample_path, sample_repertoire
+from ..platform.jitter import REFERENCE_PATH, sample_path, sample_repertoire
 from ..platform.stacks import AudioStack
 from ..resilience import (RetryBudget, RetryPolicy, StudyExecutionError,
                           SupervisedExecutor, load_checkpoint,
@@ -102,6 +112,11 @@ _MEASURE_NODES = 2  # wall-clock + per-node profile
 _CHECKPOINT_EVERY = 16
 
 _HEX_DIGITS = frozenset(string.hexdigits.lower())
+
+#: jitter-stream replay: the low 32-bit half of a raw word, and the scale
+#: that turns a word's top 53 bits into ``Generator.random()``'s double
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TWO_POW_M53 = 2.0 ** -53
 
 
 def _user_rng(seed: int, user_index: int) -> np.random.Generator:
@@ -248,42 +263,168 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
                                      metrics["node_calls"])
 
 
+def _may_reject(product: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Lemire draws that numpy might reject and redraw.
+
+    ``integers(k)`` keeps ``(u32 * k) >> 32`` unless the low half of the
+    product falls below ``(2**32 - k) % k``; ``< k`` bounds that threshold,
+    so a row flagged here may (~1e-9 per draw) have consumed more words
+    than the replay assumes and is re-drawn by the scalar fallback."""
+    return (product & _LOW32) < bound
+
+
+def _scalar_codes(seed: int, user_index: int, load: float,
+                  slots: int) -> list[int]:
+    """One user's path codes from the scalar ``sample_path`` loop — the
+    fallback for a user whose replay hit a possible Lemire rejection.
+    A repertoire entry equal to another path maps to that path's code,
+    which names the same cache key."""
+    rng = _user_rng(seed, user_index)
+    repertoire = sample_repertoire(rng, load)
+    codes = []
+    for _ in range(slots):
+        path = sample_path(rng, load, repertoire)
+        codes.append(0 if path == REFERENCE_PATH
+                     else 1 + repertoire.index(path))
+    return codes
+
+
+def _path_codes(devices: list[Device], slots: int, seed: int,
+                first_index: int) -> tuple[np.ndarray, list[list[str]]]:
+    """Replay every user's jitter stream in numpy.
+
+    Returns ``(codes, repertoires)``: ``codes[u, s]`` is the path user
+    ``u`` takes at analyser slot ``s`` — 0 for ``REFERENCE_PATH``, ``1 + i``
+    for ``repertoires[u][i]``. Slots run analyser vector-major, then
+    iteration: the order the scalar planner calls ``sample_path`` in.
+
+    Each user's repertoire is drawn by ``sample_repertoire`` itself; the
+    rest of the stream is read as raw 64-bit words and every user is
+    stepped in lockstep, one slot at a time, with the word accounting
+    ``repro.platform.jitter`` documents.
+    """
+    users = len(devices)
+    loads = np.array([device.load for device in devices], dtype=np.float64)
+    sizes = np.empty(users, dtype=np.uint64)
+    buffered = np.empty(users, dtype=bool)
+    half = np.empty(users, dtype=np.uint64)
+    # a slot takes one word for random() and at most one for integers()
+    words = np.empty((users, 2 * slots), dtype=np.uint64)
+    repertoires = []
+    for u, device in enumerate(devices):
+        rng = _user_rng(seed, first_index + u)
+        repertoire = sample_repertoire(rng, device.load)
+        repertoires.append(repertoire)
+        sizes[u] = len(repertoire)
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        buffered[u] = state["has_uint32"]
+        half[u] = state["uinteger"]
+        words[u] = bit_generator.random_raw(2 * slots)
+
+    rows = np.arange(users)
+    pos = np.zeros(users, dtype=np.intp)
+    codes = np.zeros((users, slots), dtype=np.intp)
+    rejects = np.zeros(users, dtype=bool)
+    drawing = sizes > 1  # integers(1) draws nothing
+    for slot in range(slots):
+        perturbed = (words[rows, pos] >> 11) * _TWO_POW_M53 < loads
+        pos += 1
+        draw = perturbed & drawing
+        fresh = draw & ~buffered
+        word = words[rows, pos]
+        u32 = np.where(fresh, word & _LOW32, half)
+        half = np.where(fresh, word >> 32, half)
+        buffered ^= draw
+        pos += fresh
+        product = u32 * sizes
+        rejects |= draw & _may_reject(product, sizes)
+        codes[:, slot] = perturbed + np.where(
+            draw, (product >> 32).astype(np.intp), 0)
+
+    for u in np.flatnonzero(rejects).tolist():
+        codes[u] = _scalar_codes(seed, first_index + u, devices[u].load,
+                                 slots)
+    return codes, repertoires
+
+
+class _StudyPlan(NamedTuple):
+    """A study's (or shard's) grid as integers.
+
+    ``grid[u, v, i]`` is the class id of user ``u``'s iteration ``i`` of
+    ``vectors[v]``. Class ids number the distinct cache keys in the order
+    the grid (user-major, then vector, then iteration) first reaches
+    them; ``keys``, ``classes`` and ``index`` are keyed by them.
+    """
+    grid: np.ndarray                          # (users, vectors, iterations)
+    keys: list[str]                           # class id -> cache key
+    classes: list[tuple[str, object, str]]    # class id -> (vector, stack, path)
+    index: dict[str, int]                     # cache key -> class id
+
+
 def _plan(devices: list[Device], vectors: tuple[str, ...], iterations: int,
-          seed: int, first_index: int = 0):
-    """Pre-draw all jitter paths; return per-item keys and the class table.
+          seed: int, first_index: int = 0) -> _StudyPlan:
+    """Pre-draw all jitter paths and collapse the grid to its classes.
 
     Analyser-free vectors draw nothing from the rng, so adding/removing
     them never shifts another vector's jitter stream. ``first_index`` is
     the global population index of ``devices[0]`` — per-user jitter
     streams are seeded by global index, so planning a shard of the
     population draws exactly the paths the monolithic plan would.
+    ``make_key`` runs once per distinct (user, vector, path code), not
+    once per grid item.
     """
-    item_keys: dict[tuple[str, str], list[str]] = {}   # (vector, user_id) -> keys
-    classes: dict[str, tuple[str, object, str]] = {}
-    for offset, device in enumerate(devices):
-        rng = _user_rng(seed, first_index + offset)
-        repertoire = sample_repertoire(rng, device.load)
-        for vector_name in vectors:
-            vector = get_vector(vector_name)
-            # each vector fingerprints its own per-device stack (the audio
-            # stack for audio vectors; UA/canvas/fonts/math identities for
-            # the comparators) — the class key and the render input both
-            # come from that stack, so the cache stays a pure function of
-            # (vector, stack, path) across every fingerprint surface
-            stack = vector.stack_of(device)
+    specs = [get_vector(name) for name in vectors]
+    analysers = [v for v, spec in enumerate(specs) if spec.uses_analyser]
+    codes, repertoires = _path_codes(devices, len(analysers) * iterations,
+                                     seed, first_index)
+    users, width = len(devices), len(vectors)
+    grid = np.zeros((users, width, iterations), dtype=np.intp)
+    grid[:, analysers] = codes.reshape(users, len(analysers), iterations)
+
+    # one id per (user, vector, code), numbered in first-seen grid order
+    depth = int(grid.max()) + 1
+    triples = (np.arange(users)[:, None, None] * width
+               + np.arange(width)[None, :, None]) * depth + grid
+    distinct, first, inverse = np.unique(
+        triples.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    user_of, rest = np.divmod(distinct[order], width * depth)
+    vector_of, code_of = np.divmod(rest, depth)
+
+    # each vector fingerprints its own per-device stack (the audio stack
+    # for audio vectors; UA/canvas/fonts/math identities for the
+    # comparators) — the class key and the render input both come from
+    # that stack, so the cache stays a pure function of (vector, stack,
+    # path) across every fingerprint surface. First-seen order visits the
+    # triples grouped by (user, vector), so each stack is built once.
+    triple_class = np.empty(len(distinct), dtype=np.intp)
+    keys: list[str] = []
+    classes: list[tuple[str, object, str]] = []
+    index: dict[str, int] = {}
+    current = None
+    for t, u, v, code in zip(order.tolist(), user_of.tolist(),
+                             vector_of.tolist(), code_of.tolist()):
+        spec = specs[v]
+        if current != (u, v):
+            current = (u, v)
+            stack = spec.stack_of(devices[u])
             stack_key = stack.cache_key()
-            keys = []
-            for _ in range(iterations):
-                if vector.uses_analyser:
-                    path = sample_path(rng, device.load, repertoire)
-                else:
-                    path = vector.canonical_path(None)
-                key = RenderCache.make_key(vector_name, stack_key, path)
-                keys.append(key)
-                if key not in classes:
-                    classes[key] = (vector_name, stack, path)
-            item_keys[(vector_name, device.user_id)] = keys
-    return item_keys, classes
+        if not spec.uses_analyser:
+            path = spec.canonical_path(None)
+        elif code:
+            path = repertoires[u][code - 1]
+        else:
+            path = REFERENCE_PATH
+        key = RenderCache.make_key(vectors[v], stack_key, path)
+        class_id = index.get(key)
+        if class_id is None:
+            class_id = index[key] = len(keys)
+            keys.append(key)
+            classes.append((vectors[v], stack, path))
+        triple_class[t] = class_id
+    grid = triple_class[inverse].reshape(users, width, iterations)
+    return _StudyPlan(grid, keys, classes, index)
 
 
 def _validate_study_args(user_count, iterations, vectors, workers,
@@ -359,22 +500,55 @@ def _load_resume(checkpoint_path, fingerprint, classes, recorder,
     return resumed
 
 
-def _keyed_to_render(cache, item_keys, classes, resumed, recorder):
-    """The classes still needing a render, as ``(key, class)`` pairs.
+def _probe(cache, plan: _StudyPlan, resumed: dict[str, str], recorder):
+    """Split the plan's classes into known eFPs and classes to render.
 
-    With the cache disabled this degrades to the honest baseline: one
-    real render per grid item, charged through the miss-counter API so
-    benchmark speedups isolate the cache.
+    Returns ``(efps, keyed)``: ``efps[c]`` is class ``c``'s eFP when the
+    checkpoint or the cache already holds it (else None), and ``keyed``
+    lists the ``(key, class)`` pairs still to render. The cache is probed
+    once per class. With the cache disabled this degrades to the honest
+    baseline: one real render per grid item, charged through the
+    miss-counter API so benchmark speedups isolate the cache.
     """
+    efps = [resumed.get(key) for key in plan.keys]
     if cache.disabled:
-        keyed = [(key, classes[key])
-                 for keys in item_keys.values() for key in keys
-                 if key not in resumed]
+        keyed = [(plan.keys[c], plan.classes[c])
+                 for c in plan.grid.ravel().tolist() if efps[c] is None]
         cache.record_miss(len(keyed))
-        return keyed
+        return efps, keyed
+    keyed = []
     with recorder.span("probe"):
-        return [(key, classes[key]) for key in classes
-                if key not in resumed and cache.get(key) is None]
+        for c, key in enumerate(plan.keys):
+            if efps[c] is None:
+                efps[c] = cache.get(key)
+                if efps[c] is None:
+                    keyed.append((key, plan.classes[c]))
+    return efps, keyed
+
+
+def _assemble(plan: _StudyPlan, efps: list, rendered: dict[str, str],
+              devices: list[Device], cache, seed: int, iterations: int,
+              vectors: tuple[str, ...]) -> StudyDataset:
+    """Build the per-user series from the study's own class -> eFP table
+    (probe hits and resumed classes in ``efps``, fresh renders in
+    ``rendered``) — never from the cache, whose LRU may have evicted a
+    class since the probe. The grid items count as cache hits, as the
+    renders they reuse are served from this table."""
+    for key, efp in rendered.items():
+        efps[plan.index[key]] = efp
+    table = np.empty(len(efps), dtype=object)
+    table[:] = efps
+    cells = table[plan.grid]
+    if not cache.disabled:
+        cache.record_hit(plan.grid.size)
+    dataset = StudyDataset(seed=seed, user_count=len(devices),
+                           iterations=iterations, vectors=tuple(vectors),
+                           users=[d.describe() for d in devices])
+    user_ids = [d.user_id for d in devices]
+    for v, vector_name in enumerate(vectors):
+        dataset.series[vector_name] = dict(zip(user_ids,
+                                               cells[:, v].tolist()))
+    return dataset
 
 
 def _render_phase(keyed, *, measuring, recorder, cache, seed, workers,
@@ -547,11 +721,11 @@ def _run_study(user_count, iterations, vectors, seed, cache, workers,
     with recorder.span("plan", users=user_count, iterations=iterations,
                        vectors=list(vectors)) as plan_span:
         devices = sample_population(user_count, seed)
-        item_keys, classes = _plan(devices, tuple(vectors), iterations, seed)
-        grid_items = sum(len(k) for k in item_keys.values())
+        plan = _plan(devices, tuple(vectors), iterations, seed)
+        grid_items = plan.grid.size
         if measuring:
             plan_span.set(grid_items=grid_items,
-                          distinct_classes=len(classes))
+                          distinct_classes=len(plan.keys))
     recorder.event("phase.end", phase="plan")
 
     checkpoint_info = {"enabled": checkpoint_path is not None, "writes": 0,
@@ -561,9 +735,9 @@ def _run_study(user_count, iterations, vectors, seed, cache, workers,
 
     recorder.event("phase.start", phase="render")
     with recorder.span("render") as render_span:
-        resumed = _load_resume(checkpoint_path, fingerprint, classes,
+        resumed = _load_resume(checkpoint_path, fingerprint, plan.index,
                                recorder, checkpoint_info)
-        keyed = _keyed_to_render(cache, item_keys, classes, resumed, recorder)
+        efps, keyed = _probe(cache, plan, resumed, recorder)
         rendered, supervisor, job_count, pooled = _render_phase(
             keyed, measuring=measuring, recorder=recorder,
             cache=cache, seed=seed, workers=workers,
@@ -572,7 +746,6 @@ def _run_study(user_count, iterations, vectors, seed, cache, workers,
             checkpoint_every=checkpoint_every,
             checkpoint_info=checkpoint_info, retry_policy=retry_policy,
             retry_budget=retry_budget, progress=progress, resumed=resumed)
-        lookup = rendered.__getitem__ if cache.disabled else cache.get
     recorder.event("phase.end", phase="render")
 
     resilience_info = supervisor.summary()
@@ -599,27 +772,18 @@ def _run_study(user_count, iterations, vectors, seed, cache, workers,
 
     recorder.event("phase.start", phase="assemble")
     with recorder.span("assemble"):
-        dataset = StudyDataset(
-            seed=seed,
-            user_count=user_count,
-            iterations=iterations,
-            vectors=tuple(vectors),
-            users=[d.describe() for d in devices],
-        )
-        for vector_name in vectors:
-            dataset.series[vector_name] = {}
-        for (vector_name, user_id), keys in item_keys.items():
-            dataset.series[vector_name][user_id] = [lookup(key) for key in keys]
+        dataset = _assemble(plan, efps, rendered, devices, cache, seed,
+                            iterations, vectors)
     recorder.event("phase.end", phase="assemble")
     recorder.event("study.end", grid_items=grid_items,
-                   distinct_classes=len(classes), rendered=len(rendered))
+                   distinct_classes=len(plan.keys), rendered=len(rendered))
 
     if report_path is not None:
         from ..obs.report import build_report  # deferred: only report users pay for it
         workload = {"users": user_count, "iterations": iterations,
                     "vectors": list(vectors), "seed": seed,
                     "grid_items": grid_items,
-                    "distinct_classes": len(classes)}
+                    "distinct_classes": len(plan.keys)}
         report = build_report(recorder, workload, cache_stats=cache.stats(),
                               pool=pool_info, resilience=resilience_info,
                               events_path=event_log_path)

@@ -6,6 +6,7 @@ same dataset bytes, at any batch composition, batch split, worker count,
 or FFT backend. These tests pin that invariant, plus the crash-safety of
 the render cache's disk persistence.
 """
+import dataclasses
 import json
 import os
 
@@ -16,8 +17,9 @@ from repro import RenderCache, run_study
 from repro.platform import AudioStack
 from repro.platform.jitter import sample_path, sample_repertoire
 from repro.population import StudyDataset
+from repro.population import study as study_mod
 from repro.population.sampler import sample_population
-from repro.population.study import _plan
+from repro.population.study import _plan, _user_rng
 from repro.vectors import AUDIO_VECTORS, FULL_BATTERY, get_vector
 from repro.webaudio.fft import FFT_BACKENDS, get_fft_backend
 
@@ -89,12 +91,30 @@ STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),
              seed=13)
 
 
+def _reference_paths(devices, vectors, iterations, seed, first_index=0):
+    """The scalar planner the driver's numpy replay must match: on each
+    user's own stream, ``sample_repertoire`` then one ``sample_path`` per
+    analyser-vector iteration, in vector order. Returns
+    ``{(vector, user_id): [path, ...]}``."""
+    paths = {}
+    for offset, device in enumerate(devices):
+        rng = _user_rng(seed, first_index + offset)
+        repertoire = sample_repertoire(rng, device.load)
+        for name in vectors:
+            vector = get_vector(name)
+            paths[(name, device.user_id)] = [
+                sample_path(rng, device.load, repertoire)
+                if vector.uses_analyser else vector.canonical_path(None)
+                for _ in range(iterations)]
+    return paths
+
+
 def _serial_study(user_count, iterations, vectors, seed) -> StudyDataset:
-    """The reference the driver must match: the driver's own plan
-    (population, jitter paths), but every grid item rendered alone by
-    ``vector.render`` — no cache, no grouping, no batch axis, no pool."""
+    """The reference the driver must match: the scalar reference plan,
+    every grid item rendered alone by ``vector.render`` — no cache, no
+    grouping, no batch axis, no pool."""
     devices = sample_population(user_count, seed)
-    item_keys, classes = _plan(devices, tuple(vectors), iterations, seed)
+    paths = _reference_paths(devices, vectors, iterations, seed)
     dataset = StudyDataset(seed=seed, user_count=user_count,
                            iterations=iterations, vectors=tuple(vectors),
                            users=[d.describe() for d in devices])
@@ -102,10 +122,108 @@ def _serial_study(user_count, iterations, vectors, seed) -> StudyDataset:
         vector = get_vector(name)
         dataset.series[name] = {
             device.user_id: [
-                vector.render(vector.stack_of(device), classes[key][2])
-                for key in item_keys[(name, device.user_id)]]
+                vector.render(vector.stack_of(device), path)
+                for path in paths[(name, device.user_id)]]
             for device in devices}
     return dataset
+
+
+def _assert_plan_matches_reference(devices, vectors, iterations, seed,
+                                   first_index=0):
+    plan = _plan(devices, tuple(vectors), iterations, seed,
+                 first_index=first_index)
+    reference = _reference_paths(devices, vectors, iterations, seed,
+                                 first_index)
+    expected_keys = {}
+    for u, device in enumerate(devices):
+        for v, name in enumerate(vectors):
+            stack_key = get_vector(name).stack_of(device).cache_key()
+            want = [RenderCache.make_key(name, stack_key, path)
+                    for path in reference[(name, device.user_id)]]
+            got = [plan.keys[c] for c in plan.grid[u, v].tolist()]
+            assert got == want, (name, device.user_id)
+            for key in want:
+                expected_keys.setdefault(key, None)
+    # classes are numbered in first-seen grid order
+    assert plan.keys == list(expected_keys)
+    assert plan.index == {key: c for c, key in enumerate(plan.keys)}
+    return plan
+
+
+def _with_load(devices, load):
+    return [dataclasses.replace(device, load=load) for device in devices]
+
+
+class TestPlanMatchesScalarReference:
+    """The numpy replay of the jitter streams against the scalar
+    planner. This is the guard against a numpy release changing how
+    ``Generator.random`` / ``Generator.integers`` consume the bit
+    generator."""
+
+    VECTORS = ("dc", "fft", "hybrid", "am", "canvas")
+
+    @pytest.mark.parametrize("seed", [2021, 7919, 13, 404])
+    def test_sampled_population(self, seed):
+        devices = sample_population(40, seed)
+        _assert_plan_matches_reference(devices, self.VECTORS, 8, seed)
+
+    def test_full_battery(self):
+        devices = sample_population(25, 2021)
+        _assert_plan_matches_reference(devices, FULL_BATTERY, 30, 2021)
+
+    @pytest.mark.parametrize("load", [0.0, 0.9, 0.95, 0.999])
+    def test_extreme_loads(self, load):
+        devices = _with_load(sample_population(30, 7), load)
+        plan = _assert_plan_matches_reference(devices, self.VECTORS, 12, 7)
+        if load == 0.0:
+            assert len(plan.keys) == len(
+                {key.rsplit("|", 1)[0] for key in plan.keys})
+
+    @pytest.mark.parametrize("load", [0.02, 0.08])
+    def test_single_path_repertoire(self, load):
+        """``integers(1)`` draws nothing from the stream."""
+        devices = _with_load(sample_population(30, 11), load)
+        assert all(len(sample_repertoire(_user_rng(11, i), load)) == 1
+                   for i in range(len(devices)))
+        _assert_plan_matches_reference(devices, self.VECTORS, 30, 11)
+
+    def test_mixed_repertoire_sizes(self):
+        devices = sample_population(30, 5)
+        devices = [dataclasses.replace(d, load=(0.0, 0.05, 0.5, 0.97)[i % 4])
+                   for i, d in enumerate(devices)]
+        _assert_plan_matches_reference(devices, self.VECTORS, 20, 5)
+
+    @pytest.mark.parametrize("start", [1, 17, 33])
+    def test_shard_slice(self, start):
+        devices = sample_population(50, 2021)[start:start + 12]
+        _assert_plan_matches_reference(devices, self.VECTORS, 10, 2021,
+                                       first_index=start)
+
+    def test_forced_rejection_takes_scalar_fallback(self, monkeypatch):
+        """A user whose Lemire draw may reject is re-planned by the
+        scalar loop; its codes still match the reference."""
+        fallbacks = []
+        scalar = study_mod._scalar_codes
+
+        def spy(seed, user_index, load, slots):
+            fallbacks.append(user_index)
+            return scalar(seed, user_index, load, slots)
+
+        monkeypatch.setattr(study_mod, "_may_reject",
+                            lambda product, bound: np.ones(len(bound), bool))
+        monkeypatch.setattr(study_mod, "_scalar_codes", spy)
+        devices = _with_load(sample_population(20, 3), 0.6)
+        _assert_plan_matches_reference(devices, self.VECTORS, 10, 3)
+        assert sorted(fallbacks) == list(range(20))
+
+    def test_rejection_bound_covers_numpy_threshold(self):
+        """Every product numpy rejects, ``_may_reject`` flags."""
+        bound = np.arange(1, 12, dtype=np.uint64)
+        threshold = (2 ** 32 - bound) % bound
+        for low in (0, 1, 3, 6, 10):
+            product = np.full(len(bound), low, dtype=np.uint64)
+            flagged = study_mod._may_reject(product, bound)
+            assert np.all(flagged[product < threshold])
 
 
 class TestGroupingNeverChangesTheDataset:

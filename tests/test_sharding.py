@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro import run_study, run_study_sharded
+from repro import RenderCache, run_study, run_study_sharded
 from repro.population import ShardIntegrityError, shard_ranges
 from repro.population.dataset import StudyDataset
 from repro.population.sampler import sample_population, sample_population_slice
@@ -101,6 +101,14 @@ class TestShardedBitIdentity:
         combined.save(str(a))
         monolithic.save(str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_evicting_cache_gives_same_dataset(self, monolithic, tmp_path):
+        """A cache too small for one shard's classes evicts entries
+        before assembly; the shard is assembled from its own class
+        table, so no eFP goes missing."""
+        small = run_study_sharded(USERS, SHARD, str(tmp_path), workers=0,
+                                  cache=RenderCache(capacity=5), **STUDY)
+        assert small.to_dataset() == monolithic
 
     def test_manifest_stamps(self, sharded):
         for shard in sharded.shards:

@@ -29,6 +29,34 @@ def test_shared_cache_does_not_change_results():
     assert shared.stats()["hit_rate"] > 0.9
 
 
+def test_evicting_cache_gives_same_dataset():
+    """A cache smaller than the study's class count evicts entries before
+    assembly; the series still come out whole and identical."""
+    default = run_study(seed=2021, user_count=40, iterations=6,
+                        vectors=("dc", "fft"), workers=0)
+    small = run_study(seed=2021, user_count=40, iterations=6,
+                      vectors=("dc", "fft"), workers=0,
+                      cache=RenderCache(capacity=5))
+    assert small == default
+    assert all(efp is not None for series in small.series.values()
+               for efps in series.values() for efp in efps)
+
+
+def test_cache_stats_pinned():
+    """One probe per class, one hit per grid item at assembly: the
+    counters a 20x5 study leaves behind (300 grid items, 34 classes)."""
+    study = dict(user_count=20, iterations=5, vectors=("dc", "fft", "hybrid"),
+                 seed=13, workers=0)
+    cache = RenderCache()
+    run_study(cache=cache, **study)
+    assert (cache.hits, cache.misses, len(cache)) == (300, 34, 34)
+    run_study(cache=cache, **study)  # warm: 34 probe hits + 300 items
+    assert (cache.hits, cache.misses) == (634, 34)
+    disabled = RenderCache(disabled=True)
+    run_study(cache=disabled, **study)  # one real render per grid item
+    assert (disabled.hits, disabled.misses) == (0, 300)
+
+
 def test_worker_count_does_not_change_results():
     serial = run_study(seed=2021, **FAST)
     pooled = run_study(seed=2021, user_count=50, iterations=6,
