@@ -20,7 +20,7 @@ Three timed configurations, all producing bit-identical datasets:
 
 A worker-scaling sweep re-times the batched cold render at workers =
 1, 2, 4, 8 so the pool threshold in repro.population.study
-(``_POOL_GROUP_THRESHOLD``) and the group-count chunksize heuristic are
+(``_POOL_JOB_THRESHOLD``) and the group-count chunksize heuristic are
 pinned to measurements, not folklore.
 
 All of the above run on the 128-frame quantum loop: ``plan_segments`` is
@@ -268,8 +268,8 @@ def main() -> int:
         "batching_speedup": round(batching_speedup, 2),
         "datasets_bit_identical": bit_identical,
         "pool_thresholds": {
-            "batch_groups": study._POOL_GROUP_THRESHOLD,
-            "note": "pool engages at >= this many batch-group jobs; the "
+            "batch_groups": study._POOL_JOB_THRESHOLD,
+            "note": "pool engages at >= this many render jobs; the "
                     "worker sweep below measures where extra workers "
                     "actually pay off on this machine",
         },

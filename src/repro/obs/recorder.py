@@ -258,6 +258,10 @@ class Recorder:
     # -- per-node profiles ---------------------------------------------------
     def record_node_profile(self, stack_key: str, seconds: dict,
                             calls: dict | None = None) -> None:
+        # an empty profile (a comparator stack never enters the engine)
+        # stores nothing: no empty hot-node table per stack in the report
+        if not seconds:
+            return
         per_stack = self.node_profile.setdefault(stack_key, {})
         for label, spent in seconds.items():
             entry = per_stack.setdefault(label, {"seconds": 0.0, "calls": 0})

@@ -15,10 +15,13 @@ its distinct equivalence classes (3,404 on seed 2021):
                 (vector, stack) and render each group as ONE batched pass
                 through the engine's batch axis (graph built once, all
                 jitter paths rendered together — bit-identical to per-class
-                renders, pinned by tests). Groups fan out through a
+                renders, pinned by tests). Audio groups are one job per
+                ``_MAX_BATCH`` rows; comparator groups (no engine pass,
+                microseconds per row) are packed per vector into jobs of
+                up to ``_MAX_BATCH`` rows. Jobs fan out through a
                 ``repro.resilience.SupervisedExecutor``: jobs are submitted
                 individually with per-job deadlines, failed/hung jobs retry
-                with capped deterministic backoff, failing batch groups are
+                with capped deterministic backoff, failing jobs are
                 bisected to quarantine the poison class, pool death degrades
                 to inline rendering, and a retry budget turns a
                 systematically broken stack into a structured
@@ -90,12 +93,13 @@ from .sampler import sample_population
 
 _STUDY_STREAM = 0x57D  # per-user jitter streams, disjoint from the sampler's
 
-#: Pool engagement threshold, measured by benchmarks/bench_render_perf.py
-#: (see the "pool" section of BENCH_render.json — the worker sweep records
-#: where process-pool overhead actually pays off on this workload):
-#: below this many batch-group jobs, fork + pickle overhead loses to inline
-#: rendering.
-_POOL_GROUP_THRESHOLD = 4
+#: Pool engagement threshold in render jobs as shipped, i.e. after
+#: comparator packing (one job per audio (vector, stack) sub-batch, one per
+#: comparator pack): below this many jobs, fork + pickle overhead loses to
+#: inline rendering. The value was measured by
+#: benchmarks/bench_render_perf.py's worker sweep when every (vector, stack)
+#: sub-batch was its own job and has not been re-measured for packed jobs.
+_POOL_JOB_THRESHOLD = 4
 
 #: Batch rows per engine pass. Caps the working set of a batched render
 #: ((B, channels, 5000) float64 blocks plus the analyser history) while
@@ -123,80 +127,110 @@ def _user_rng(seed: int, user_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _STUDY_STREAM, user_index]))
 
 
-def _render_group(job: tuple[str, AudioStack, list, int]):
-    """Pool worker: render one (vector, stack) batch group in a single
-    batched engine pass. Top-level for pickling.
-
-    Returns ``(pairs, metrics)`` where pairs is ``[(key, efp), ...]`` in
-    member order and metrics is None unless the job asked to be measured.
-    The chaos hook fires per member key: a crash/hang selected for any
-    member takes the whole group (that is what bisection is for); a
+def _render_batch(vector, stack: AudioStack, members: list, measure: int):
+    """Render one (vector, stack) sub-batch in a single batched engine
+    pass. Returns ``(pairs, metrics)``: pairs is ``[(key, efp), ...]`` in
+    member order and metrics is None unless the batch asked to be
+    measured. The chaos hook fires per member key: a crash/hang selected
+    for any member takes the whole job (that is what bisection is for); a
     corrupt fault poisons only the selected member's row.
     """
-    vector_name, stack, members, measure = job
     keys = [key for key, _ in members]
     paths = [path for _, path in members]
     corrupt_rows = [i for i, key in enumerate(keys) if render_fault(key)]
-    vector = get_vector(vector_name)
+    metrics = None
     if not measure:
         efps = vector.render_batch(stack, paths)
-        for i in corrupt_rows:
-            efps[i] = CORRUPT_EFP
-        return list(zip(keys, efps)), None
-    start = time.perf_counter()
-    if measure >= _MEASURE_NODES:
-        with profile_nodes() as profiler:
-            efps = vector.render_batch(stack, paths)
     else:
-        profiler = None
-        efps = vector.render_batch(stack, paths)
-    wall = time.perf_counter() - start
-    metrics = {
-        "vector": vector_name,
-        "stack": stack.cache_key(),
-        "wall_s": wall,
-        "batch_size": len(members),
-        "events": [make_event("render.batch", vector=vector_name,
-                              stack=stack.cache_key(),
-                              batch_size=len(members), wall_s=wall)],
-    }
-    if profiler is not None:
-        metrics["nodes"] = profiler.seconds
-        metrics["node_calls"] = profiler.calls
+        start = time.perf_counter()
+        if measure >= _MEASURE_NODES:
+            with profile_nodes() as profiler:
+                efps = vector.render_batch(stack, paths)
+        else:
+            profiler = None
+            efps = vector.render_batch(stack, paths)
+        wall = time.perf_counter() - start
+        metrics = {
+            "vector": vector.name,
+            "stack": stack.cache_key(),
+            "wall_s": wall,
+            "batch_size": len(members),
+            "events": [make_event("render.batch", vector=vector.name,
+                                  stack=stack.cache_key(),
+                                  batch_size=len(members), wall_s=wall)],
+        }
+        if profiler is not None:
+            metrics["nodes"] = profiler.seconds
+            metrics["node_calls"] = profiler.calls
     for i in corrupt_rows:
         efps[i] = CORRUPT_EFP
     return list(zip(keys, efps)), metrics
 
 
+def _render_job(job):
+    """Pool worker: render one job's sub-batches back to back. Top-level
+    for pickling.
+
+    A job is ``(vector_name, batches)`` with each batch a ``(stack,
+    members, measure)`` triple. Returns ``(pairs, metrics)``: the pairs of
+    every batch in order, and one metrics dict per measured batch.
+    """
+    vector_name, batches = job
+    vector = get_vector(vector_name)
+    pairs, metrics = [], []
+    for stack, members, measure in batches:
+        batch_pairs, batch_metrics = _render_batch(vector, stack, members,
+                                                   measure)
+        pairs.extend(batch_pairs)
+        if batch_metrics is not None:
+            metrics.append(batch_metrics)
+    return pairs, metrics
+
+
 def _group_jobs(keyed_classes, measuring: bool):
-    """Batch-group jobs: group classes by (vector, stack), split at
-    ``_MAX_BATCH`` rows, attach measure levels.
+    """Render jobs: group classes by (vector, stack), split each group at
+    ``_MAX_BATCH`` rows, attach measure levels, then pack.
+
+    An audio sub-batch is one job: its render costs far more than a pool
+    round trip. A comparator sub-batch (canvas/fonts/UA/math stacks, no
+    engine pass) is one row worth microseconds, so its vector's
+    sub-batches are packed into jobs of up to ``_MAX_BATCH`` rows; each
+    keeps its own stack and measure level inside the pack.
 
     Grouping preserves plan order (first-seen group order, member order
-    within a group), so the job list — and with it the profiled set and
-    every aggregate counter — is identical at any worker count. When
-    measuring, every batch is timed and the first batch per (vector,
-    stack) pair also carries the per-node profiler.
+    within a group; a pack sits where its first sub-batch would), so the
+    job list — and with it the profiled set and every aggregate counter —
+    is identical at any worker count. When measuring, every sub-batch is
+    timed and the first per (vector, stack) pair also carries the
+    per-node profiler.
     """
     groups: dict[tuple[str, str], tuple[str, AudioStack, list]] = {}
     for key, (vector_name, stack, path) in keyed_classes:
         entry = groups.setdefault((vector_name, stack.cache_key()),
                                   (vector_name, stack, []))
         entry[2].append((key, path))
-    jobs = []
+    jobs: list[tuple[str, list]] = []
+    open_packs: dict[str, tuple[list, int]] = {}  # vector -> (batches, rows)
     for vector_name, stack, members in groups.values():
-        first = True
+        packed = get_vector(vector_name).kind == "comparator"
         for lo in range(0, len(members), _MAX_BATCH):
             if not measuring:
                 measure = _MEASURE_OFF
-            elif first:
+            elif lo == 0:
                 measure = _MEASURE_NODES
             else:
                 measure = _MEASURE_TIME
-            first = False
-            jobs.append((vector_name, stack, members[lo:lo + _MAX_BATCH],
-                         measure))
-    return jobs
+            batch = (stack, members[lo:lo + _MAX_BATCH], measure)
+            if not packed:
+                jobs.append((vector_name, [batch]))
+                continue
+            pack, rows = open_packs.get(vector_name, (None, 0))
+            if pack is None or rows + len(batch[1]) > _MAX_BATCH:
+                pack, rows = [], 0
+                jobs.append((vector_name, pack))
+            pack.append(batch)
+            open_packs[vector_name] = (pack, rows + len(batch[1]))
+    return [(vector_name, tuple(batches)) for vector_name, batches in jobs]
 
 
 # -- supervision plumbing: validate / split / name render jobs ----------------
@@ -208,35 +242,41 @@ def _valid_efp(value) -> bool:
         and set(value) <= _HEX_DIGITS
 
 
-def _validate_group_result(job, result) -> bool:
+def _job_keys(job) -> list[str]:
+    return [key for _, members, _ in job[1] for key, _ in members]
+
+
+def _validate_job_result(job, result) -> bool:
     pairs, _metrics = result
-    members = job[2]
-    if len(pairs) != len(members):
+    keys = _job_keys(job)
+    if len(pairs) != len(keys):
         return False
     return all(key == member_key and _valid_efp(efp)
-               for (key, efp), (member_key, _) in zip(pairs, members))
+               for (key, efp), member_key in zip(pairs, keys))
 
 
-def _group_job_keys(job) -> list[str]:
-    return [key for key, _ in job[2]]
-
-
-def _split_group_job(job):
-    """Bisect a failing batch group so the supervisor can corner the
-    poison member. The first half inherits the parent's measure level
-    (a profiled group keeps exactly one profiled descendant); results
-    stay bit-identical because batch rows never interact."""
-    vector_name, stack, members, measure = job
+def _split_job(job):
+    """Bisect a failing job so the supervisor can corner the poison
+    member: a pack splits between its sub-batches (each keeps its measure
+    level), a single sub-batch between its members. There the first half
+    inherits the parent's measure level (a profiled batch keeps exactly
+    one profiled descendant). Results stay bit-identical because batch
+    rows never interact."""
+    vector_name, batches = job
+    if len(batches) > 1:
+        mid = len(batches) // 2
+        return [(vector_name, batches[:mid]), (vector_name, batches[mid:])]
+    (stack, members, measure), = batches
     if len(members) < 2:
         return None
     mid = len(members) // 2
     tail_measure = _MEASURE_TIME if measure else _MEASURE_OFF
-    return [(vector_name, stack, members[:mid], measure),
-            (vector_name, stack, members[mid:], tail_measure)]
+    return [(vector_name, ((stack, members[:mid], measure),)),
+            (vector_name, ((stack, members[mid:], tail_measure),))]
 
 
 def _absorb_batch_metrics(recorder, metrics: dict) -> None:
-    """Fold one batch-group metrics snapshot into the parent recorder.
+    """Fold one sub-batch's metrics snapshot into the parent recorder.
 
     Per-vector latency histograms keep one observation per *render* (the
     batch wall clock amortized over its rows), so their counts still equal
@@ -254,7 +294,6 @@ def _absorb_batch_metrics(recorder, metrics: dict) -> None:
     amortized = wall / size
     for _ in range(size):
         recorder.observe(f"render.latency_s.{vector}", amortized)
-    recorder.observe("pool.task_wall_s", wall)
     for event in metrics.get("events", ()):
         recorder.merge_event(event)
     if "nodes" in metrics:
@@ -565,19 +604,19 @@ def _render_phase(keyed, *, measuring, recorder, cache, seed, workers,
     """
     jobs = _group_jobs(keyed, measuring)
     pooled = bool(workers and workers > 1
-                  and len(jobs) >= _POOL_GROUP_THRESHOLD)
+                  and len(jobs) >= _POOL_JOB_THRESHOLD)
     if requested_workers is not None and workers < requested_workers:
         recorder.count("pool.workers_clamped", requested_workers - workers)
-    if not pooled and len(jobs) >= _POOL_GROUP_THRESHOLD and workers <= 1 \
+    if not pooled and len(jobs) >= _POOL_JOB_THRESHOLD and workers <= 1 \
             and (requested_workers is None or requested_workers > 1):
         # enough jobs to pool, but fan-out cannot win on this machine
         recorder.count("pool.fanout_skipped")
     budget = None if retry_budget is None else RetryBudget(retry_budget)
     supervisor = SupervisedExecutor(
-        _render_group, workers=workers if pooled else 0,
+        _render_job, workers=workers if pooled else 0,
         policy=retry_policy, budget=budget, recorder=recorder,
-        seed=seed, splitter=_split_group_job,
-        validator=_validate_group_result, keys_of=_group_job_keys)
+        seed=seed, splitter=_split_job,
+        validator=_validate_job_result, keys_of=_job_keys)
 
     meter = None
     if progress:
@@ -603,8 +642,11 @@ def _render_phase(keyed, *, measuring, recorder, cache, seed, workers,
     try:
         for pairs, metrics in supervisor.run(jobs):
             rendered.update(pairs)
-            if metrics is not None:
-                _absorb_batch_metrics(recorder, metrics)
+            if metrics:
+                for batch_metrics in metrics:
+                    _absorb_batch_metrics(recorder, batch_metrics)
+                recorder.observe("pool.task_wall_s",
+                                 sum(m["wall_s"] for m in metrics))
             completed_jobs += 1
             if checkpoint_path is not None \
                     and completed_jobs % checkpoint_every == 0:

@@ -53,7 +53,7 @@ class AudioVector:
         return digest(self._features(stack, jitter))
 
     def render_batch(self, stack, jitter_paths) -> list[str]:
-        """Batched pure render: one graph build + one quantum-loop pass for
+        """Batched pure render: one graph build + one engine pass for
         all paths of a (vector, stack) group. Returns one eFP per path,
         bit-identical to ``render(stack, path)`` of each path alone —
         batch rows never interact (pinned by tests)."""

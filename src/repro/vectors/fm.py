@@ -2,10 +2,10 @@
 
 A sine chirp built from AudioParam automation (set + linear ramp across
 the whole buffer), compressed, then read through the analyser. The
-automation events make this the one graph the fused planner always
-declines (fused kernels assume block-position-independent params), so
-the vector permanently exercises the quantum-loop reference path — its
-batched bit-identity tests guard exactly that fallback.
+oscillator's fused kernel evaluates the ramp over the whole buffer and
+replays the quantum loop's per-block phase starts and harmonic sets, so
+the vector renders fused; ``tests/test_fused_render.py`` pins it
+byte-equal to the quantum loop.
 """
 from __future__ import annotations
 

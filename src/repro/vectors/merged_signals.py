@@ -3,9 +3,9 @@ analyser.
 
 Three waveforms at different frequencies merged into one multi-channel
 stream, compressed, then read through the AnalyserNode — the widest
-graph in the battery (fan-in at the merger means the fused planner
-declines it and the quantum loop renders it; batched bit-identity is
-what the tests pin). Inherits the analyser's load fickleness.
+graph in the battery. The merger takes one source per port, so it only
+routes and the graph renders fused (pinned byte-equal to the quantum
+loop by the tests). Inherits the analyser's load fickleness.
 """
 from __future__ import annotations
 

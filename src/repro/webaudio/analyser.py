@@ -11,9 +11,8 @@ The readout is where batch rows diverge: the quantum loop itself is
 jitter-independent, so a batched render accumulates one shared history
 per row and then applies each row's readout offset and jitter transform
 individually, finishing with ONE batched FFT over all rows — the FFT
-backends' per-stage Python overhead (the dominant cost for the
-recursive split-radix kernel) is paid once per batch instead of once
-per class.
+backends' per-stage Python overhead is paid once per batch instead of
+once per class.
 """
 from __future__ import annotations
 

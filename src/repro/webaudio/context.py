@@ -13,15 +13,17 @@ Two execution strategies produce that buffer; every render tries the
 first and falls back to the second:
 
 - **fused** — used whenever the graph is fusible: ``plan_segments`` checks
-  the graph is an automation-free linear chain of known nodes, then each
+  every node has a whole-buffer kernel and that no port sums sources,
+  no node fans out and only oscillators carry automation; then each
   node renders the *entire* buffer in one ``process_buffer`` call. The
   fused NumPy tier is bit-identical to the quantum loop by construction
   (elementwise stages are blocking-invariant; block-granular state keeps
   its block structure inside the kernels) and by test, so no
   ``ENGINE_VERSION`` bump and no cache invalidation.
 - **quantum** — the 128-frame block loop, kept verbatim as the reference
-  semantics and the fallback for graphs the fused path declines
-  (automation, fan-in/fan-out, unknown node types).
+  semantics and the fallback for graphs the fused path declines (gain
+  automation, summing fan-in, fan-out, unknown node types). No vector of
+  the battery builds such a graph.
 
 ``render_path_used`` records which strategy actually ran.
 """

@@ -1,10 +1,14 @@
 """From-scratch FFT backends, selectable per platform stack.
 
-Each backend computes the same DFT but through a different algorithm /
+Each backend computes the same DFT but through a different algorithm or
 floating-point evaluation order, so their outputs agree with
 ``numpy.fft.fft`` only to within a backend-specific tolerance — exactly
 the ulp-level divergence between real browsers' FFT libraries that the
 paper identifies as a causal factor of fingerprint diversity (§5).
+``radix2`` and ``splitradix`` share one butterfly loop and differ only
+in the operand order of its complex multiply, which numpy's FMA loops
+round differently; where numpy's complex multiply commutes bit for bit,
+the two backends coincide.
 
 All backends accept arbitrary sizes: powers of two go through the
 backend's own core, everything else through the Bluestein chirp-z
@@ -12,11 +16,14 @@ transform built on that core.
 
 Every backend transforms the LAST axis and accepts arbitrary leading
 (batch) axes: ``fft((B, n))`` computes B independent n-point DFTs in
-one call, with each row bit-identical to ``fft((n,))`` of that row —
-all stage arithmetic is elementwise, so adding a leading axis never
-reorders a single floating-point operation. Batching matters most for
-the recursive split-radix kernel, whose per-stage Python overhead
-(~2n recursive calls) is paid once per *batch* instead of once per row.
+one call. For finite inputs each row is bit-identical to ``fft((n,))``
+of that row — all stage arithmetic is elementwise, so adding a leading
+axis never reorders a single floating-point operation. Where +inf and
+-inf meet in one row, the NaNs produced may differ in sign bit between
+the batched and the single-row call (the ``numpy`` and ``bluestein``
+backends); the values are NaN either way. The butterfly loop's Python
+overhead (a few ufunc calls per stage, log2 n stages) is paid once per
+*batch* instead of once per row.
 """
 from __future__ import annotations
 
@@ -35,18 +42,17 @@ def _is_pow2(n: int) -> bool:
 # them returns the exact arrays the uncached code would rebuild — zero
 # effect on output bytes, large effect on per-call Python/alloc overhead.
 # Cached arrays are marked read-only; kernels only ever multiply by them.
-_TWIDDLE_CACHE: dict[tuple[int, object], np.ndarray] = {}
+_TWIDDLE_CACHE: dict[int, np.ndarray] = {}
 _BITREV_CACHE: dict[int, np.ndarray] = {}
 
 
-def _twiddles(size: int, dtype=np.complex128) -> np.ndarray:
-    """``exp(-2j*pi*arange(size//2)/size)`` in ``dtype``, cached per size."""
-    key = (size, np.dtype(dtype).str)
-    tw = _TWIDDLE_CACHE.get(key)
+def _twiddles(size: int) -> np.ndarray:
+    """``exp(-2j*pi*arange(size//2)/size)`` in complex128, cached per size."""
+    tw = _TWIDDLE_CACHE.get(size)
     if tw is None:
-        tw = np.exp(-2j * np.pi * np.arange(size // 2) / size).astype(dtype)
+        tw = np.exp(-2j * np.pi * np.arange(size // 2) / size)
         tw.setflags(write=False)
-        _TWIDDLE_CACHE[key] = tw
+        _TWIDDLE_CACHE[size] = tw
     return tw
 
 
@@ -64,7 +70,7 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
-def _fft_iterative_radix2(x: np.ndarray, twiddle_dtype=np.complex128) -> np.ndarray:
+def _fft_stages(x: np.ndarray, twiddle_first: bool = False) -> np.ndarray:
     """Iterative Cooley-Tukey decimation-in-time; vectorized per stage.
 
     Transforms the last axis; leading axes are independent batch rows.
@@ -73,6 +79,11 @@ def _fft_iterative_radix2(x: np.ndarray, twiddle_dtype=np.complex128) -> np.ndar
     same order as the textbook concatenate form, minus the per-stage
     temporary allocations (which dominated wall time for analyser-sized
     batches).
+
+    ``twiddle_first`` picks the butterfly's operand order: ``odd * tw``
+    (radix2) or ``tw * odd`` (splitradix). The products are the same, but
+    numpy's FMA complex-multiply loops fuse a different one of them into
+    the imaginary part's sum, so the two orders round differently.
     """
     n = x.shape[-1]
     lead = x.shape[:-1]
@@ -84,39 +95,20 @@ def _fft_iterative_radix2(x: np.ndarray, twiddle_dtype=np.complex128) -> np.ndar
     size = 2
     while size <= n:
         half = size // 2
-        tw = _twiddles(size, twiddle_dtype)
+        tw = _twiddles(size)
         av = a.reshape(*lead, n // size, size)
         ov = out.reshape(*lead, n // size, size)
         even = av[..., :half]
-        odd = np.multiply(av[..., half:], tw,
-                          out=scratch.reshape(*lead, n // size, size)[..., :half])
+        odd = scratch.reshape(*lead, n // size, size)[..., :half]
+        if twiddle_first:
+            np.multiply(tw, av[..., half:], out=odd)
+        else:
+            np.multiply(av[..., half:], tw, out=odd)
         np.add(even, odd, out=ov[..., :half])
         np.subtract(even, odd, out=ov[..., half:])
         a, out = out, a
         size *= 2
     return a
-
-
-def _fft_recursive(x: np.ndarray) -> np.ndarray:
-    """Recursive radix-2 (split-radix-style evaluation order).
-
-    Same DFT, different summation order than the iterative kernel, so its
-    rounding differs at the ulp level — a genuinely distinct implementation,
-    not a tweaked copy.
-    """
-    n = x.shape[-1]
-    if n == 1:
-        return x.astype(np.complex128)
-    if n == 2:
-        # unrolled base case: the exact ops of the two n == 1 leaves plus
-        # the n == 2 combine, minus two Python frames per leaf pair
-        even = x[..., 0::2].astype(np.complex128)
-        t = _twiddles(2) * x[..., 1::2].astype(np.complex128)
-        return np.concatenate([even + t, even - t], axis=-1)
-    even = _fft_recursive(x[..., ::2])
-    odd = _fft_recursive(x[..., 1::2])
-    t = _twiddles(n) * odd
-    return np.concatenate([even + t, even - t], axis=-1)
 
 
 class FFTBackend:
@@ -202,19 +194,23 @@ class Radix2FFT(FFTBackend):
     tolerance = 1e-10
 
     def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
-        return _fft_iterative_radix2(x)
+        return _fft_stages(x)
 
 
 class SplitRadixFFT(FFTBackend):
-    """Recursive evaluation order + float32-rounded twiddles in the last
-    iterative fallback — models a build compiled with single-precision
-    twiddle tables (a real divergence between audio stacks)."""
+    """The radix-2 butterflies with the twiddle as the left operand.
+
+    Byte-equal to a recursive even/odd split that computes ``tw * odd``
+    at every level (the test suite keeps that recursion as its oracle).
+    What sets it apart from ``radix2`` is operand order under FMA: on a
+    host where numpy's complex multiply commutes bit for bit, ``radix2``
+    and ``splitradix`` coincide."""
 
     name = "splitradix"
     tolerance = 1e-9
 
     def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
-        return _fft_recursive(np.asarray(x, dtype=np.complex128))
+        return _fft_stages(x, twiddle_first=True)
 
 
 class BluesteinFFT(FFTBackend):
@@ -224,7 +220,7 @@ class BluesteinFFT(FFTBackend):
     tolerance = 1e-7
 
     def _fft_pow2(self, x: np.ndarray) -> np.ndarray:
-        return _fft_iterative_radix2(x)
+        return _fft_stages(x)
 
     def fft(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -62,8 +62,8 @@ class AudioNode:
         loop's floating-point results bit for bit — nodes with
         block-granular state (oscillator phase wrap, compressor envelope)
         keep that state's block structure internally while hoisting every
-        elementwise stage to one whole-buffer pass. Only defined for
-        ``fusible`` node types on automation-free graphs (the
+        elementwise stage to one whole-buffer pass. Only called for
+        ``fusible`` node types whose params the kernel can evaluate (the
         segmentation pass checks both before dispatching here).
         """
         raise NotImplementedError(

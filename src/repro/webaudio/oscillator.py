@@ -82,17 +82,26 @@ class OscillatorNode(AudioNode):
         self._periodic_wave = wave
         self.type = "custom"
 
+    @staticmethod
+    def _band_limit(nyquist: float, fundamental: float) -> int:
+        """Harmonics below Nyquist, capped at ``_MAX_HARMONICS``; 0 for a
+        non-positive fundamental (which synthesizes silence). The only
+        thing the harmonic series takes from the fundamental."""
+        if fundamental <= 0:
+            return 0
+        return min(_MAX_HARMONICS, max(1, int(nyquist / fundamental)))
+
     def _custom_series(self, nyquist: float, fundamental: float):
         """Band-limited (orders, sin_amps, cos_amps) of the custom wave."""
         wave = self._periodic_wave
         if wave is None:
             raise ValueError(
                 'oscillator type "custom" requires set_periodic_wave()')
-        if fundamental <= 0:
+        kmax = self._band_limit(nyquist, fundamental)
+        if kmax == 0:
             zero = np.array([0.0])
             return np.array([1.0]), zero, zero
-        kmax = min(_MAX_HARMONICS, max(1, int(nyquist / fundamental)),
-                   wave.real.shape[0] - 1)
+        kmax = min(kmax, wave.real.shape[0] - 1)
         orders = np.arange(1, kmax + 1, dtype=np.float64)
         return orders, wave.imag[1:kmax + 1], wave.real[1:kmax + 1]
 
@@ -116,9 +125,9 @@ class OscillatorNode(AudioNode):
 
     def _harmonics(self, nyquist: float, fundamental: float):
         """(orders, amplitudes) of the band-limited series for self.type."""
-        if fundamental <= 0:
+        kmax = self._band_limit(nyquist, fundamental)
+        if kmax == 0:
             return np.array([1.0]), np.array([0.0])
-        kmax = min(_MAX_HARMONICS, max(1, int(nyquist / fundamental)))
         if self.type == "sine":
             return np.array([1.0]), np.array([1.0])
         if self.type == "square":
@@ -164,13 +173,15 @@ class OscillatorNode(AudioNode):
     def process_buffer(self, inputs, length):
         """Fused path: synthesize the entire buffer in one pass.
 
-        Automation-free params are block-position independent, so one
-        128-frame increment template reproduces every quantum block (the
-        final, possibly partial block is a prefix of it — cumsum is
-        prefix-stable). Per-block phase starts still walk the quantum
-        loop's exact update, ``(phase + sum(inc)) % 2pi`` per block, so
-        every phase value — and therefore every sin evaluation — is the
-        same float the quantum loop produces.
+        The params are evaluated over the whole buffer at once (their
+        values depend only on each frame's own time, so every frame gets
+        the float the per-block call gives it). What the quantum loop
+        decides per 128-frame block is replayed per block: detune applies
+        only to blocks where it is non-zero somewhere, each block's phase
+        runs from its start ``(phase + sum(inc)) % 2pi`` through its own
+        cumsum, and its harmonic set comes from its first frame's
+        frequency. Every phase value — and therefore every sin
+        evaluation — is the same float the quantum loop produces.
         """
         batch = self.context.batch_size
         if self._start_frame is None:
@@ -178,31 +189,50 @@ class OscillatorNode(AudioNode):
         fs = self.context.sample_rate
         math = self.context.config.math
         quantum = RENDER_QUANTUM_FRAMES
-
-        freq = self.frequency.values(0, quantum, fs)
-        detune = self.detune.values(0, quantum, fs)
-        if np.any(detune):
-            freq = freq * math.pow(2.0, detune / 1200.0)
-        inc = 2.0 * np.pi * freq / fs
-        block_cumsum = np.cumsum(inc)
-
         nblocks = -(-length // quantum)
-        last_n = length - (nblocks - 1) * quantum
-        full_sum = float(np.sum(inc))
+        padded = nblocks * quantum
+
+        freq = self.frequency.values(0, length, fs)
+        detune = self.detune.values(0, length, fs)
+        # the quantum loop detunes a block only if its detune is non-zero
+        # somewhere in it
+        nonzero = np.zeros(padded, dtype=bool)
+        nonzero[:length] = detune != 0
+        detuned = np.repeat(nonzero.reshape(nblocks, quantum).any(axis=1),
+                            quantum)[:length]
+        if detuned.any():
+            freq[detuned] = freq[detuned] * math.pow(2.0,
+                                                     detune[detuned] / 1200.0)
+
+        # (blocks, quantum) increments, the partial last block zero-padded:
+        # cumsum is prefix-stable, and the block sums slice the pad away
+        inc = np.zeros(padded, dtype=np.float64)
+        inc[:length] = 2.0 * np.pi * freq / fs
+        inc = inc.reshape(nblocks, quantum)
         starts = np.empty(nblocks, dtype=np.float64)
         phase = self._phase
         for b in range(nblocks):
             starts[b] = phase
-            s = full_sum if (b < nblocks - 1 or last_n == quantum) \
-                else float(np.sum(inc[:last_n]))
-            phase = (phase + s) % (2.0 * np.pi)
+            n = min(quantum, length - b * quantum)
+            phase = (phase + float(np.sum(inc[b, :n]))) % (2.0 * np.pi)
         self._phase = phase
         # (start + cumsum) - inc: the quantum loop's exact phase expression,
         # evaluated for all blocks at once and trimmed to the buffer
-        phases = ((starts[:, None] + block_cumsum[None, :]) - inc[None, :])
+        phases = ((starts[:, None] + np.cumsum(inc, axis=1)) - inc)
         phases = phases.reshape(-1)[:length]
 
-        signal = self._synthesize(math, phases, fs / 2.0, float(freq[0]))
+        # blocks sharing a band limit share a harmonic series: one
+        # synthesis call per distinct series over all of its frames
+        nyquist = fs / 2.0
+        fundamentals = freq[::quantum].tolist()
+        limits = [self._band_limit(nyquist, f) for f in fundamentals]
+        owner = np.repeat(np.asarray(limits), quantum)[:length]
+        signal = np.empty(length, dtype=np.float64)
+        for limit in dict.fromkeys(limits):
+            mask = owner == limit
+            signal[mask] = self._synthesize(
+                math, phases[mask], nyquist,
+                fundamentals[limits.index(limit)])
 
         frames = np.arange(length)
         active = frames >= self._start_frame

@@ -3,8 +3,9 @@
 The quantum loop pays its Python interpreter overhead ~40 times per
 render (once per 128-frame block): topological dispatch, input mixing,
 and a flurry of small NumPy calls per node. For the graphs the
-fingerprinting vectors actually build — automation-free linear chains
-like Oscillator→Compressor→Analyser→Gain→Destination — none of that
+fingerprinting vectors actually build — chains like
+Oscillator→Compressor→Analyser→Gain→Destination, oscillators merged
+port by port, frequency sweeps — none of that
 per-block structure is load-bearing: every node is either elementwise in
 the frame axis or carries block-granular state it can manage internally
 (the oscillator's phase wrap, the compressor's envelope).
@@ -22,11 +23,13 @@ Eligibility is deliberately conservative — the plan is refused (returns
 ``None``, quantum-loop fallback) when any of these hold:
 
 - a node type has no whole-buffer kernel (``fusible`` is False);
-- any ``AudioParam`` on any node carries automation events (fused
-  kernels assume block-position-independent params);
-- any node has fan-in or fan-out > 1 (multi-source mixing and shared
-  outputs render correctly block-by-block; the fused tier only claims
-  the linear-chain case its bit-identity tests pin).
+- an ``AudioParam`` carries automation events on any node but an
+  oscillator (the gain kernel assumes block-position-independent
+  params; the oscillator's kernel evaluates its frequency/detune over
+  the whole buffer and replays the per-block phase and harmonic steps);
+- an input port mixes more than one source (summing fan-in), or a node
+  feeds more than one destination (fan-out). A ChannelMerger with one
+  source per port is fine: it routes, it does not sum.
 
 The fallback is silent and recorded on the context
 (``render_path_used``), so callers and tests can observe the decision.
@@ -67,7 +70,12 @@ def _is_stateful(node) -> bool:
     return isinstance(node, (AnalyserNode, DynamicsCompressorNode))
 
 
-def _automation_free(node) -> bool:
+def _params_fusible(node) -> bool:
+    """Only the oscillator's kernel evaluates automated params; every
+    other kernel needs automation-free params."""
+    from .oscillator import OscillatorNode
+    if isinstance(node, OscillatorNode):
+        return True
     return all(not param._events for param in vars(node).values()
                if isinstance(param, AudioParam))
 
@@ -87,9 +95,10 @@ def plan_segments(nodes, destination) -> FusedPlan | None:
     for node in order:
         if not node.fusible:
             return None
-        if not _automation_free(node):
+        if not _params_fusible(node):
             return None
-        if len(node.sources()) > 1 or fan_out.get(node, 0) > 1:
+        if any(len(port) > 1 for port in node._inputs) \
+                or fan_out.get(node, 0) > 1:
             return None
 
     segments: list[Segment] = []

@@ -26,6 +26,7 @@ from repro.population.cache import _stale_version
 from repro.vectors import AUDIO_VECTORS, get_vector
 from repro.webaudio import ENGINE_VERSION, OfflineAudioContext
 from repro.webaudio.fft import FFT_BACKENDS
+from repro.webaudio.oscillator import OscillatorNode
 from repro.webaudio.segments import plan_segments
 
 BACKENDS = sorted(FFT_BACKENDS)
@@ -90,6 +91,121 @@ class TestFusedMatchesQuantum:
         quantum, quantum_path = _on_quantum_loop(_render)
         assert (fused_path, quantum_path) == ("fused", "quantum")
         np.testing.assert_array_equal(fused, quantum)
+
+
+def _render_both(build):
+    """Render ``build()``'s context fused and on the quantum loop; return
+    both buffers after checking each took the path it was meant to."""
+    def _render():
+        ctx = build()
+        return ctx.start_rendering_batch(), ctx.render_path_used
+    fused, fused_path = _render()
+    quantum, quantum_path = _on_quantum_loop(_render)
+    assert (fused_path, quantum_path) == ("fused", "quantum")
+    return fused, quantum
+
+
+def _merger_graph(length, batch, channels=1):
+    """Three oscillators, one per merger port, then a compressor."""
+    ctx = OfflineAudioContext(channels, length, 44100, batch_size=batch)
+    merger = ctx.create_channel_merger(3)
+    for port, (wave, freq) in enumerate((("sine", 1000.0),
+                                         ("square", 2500.0),
+                                         ("sawtooth", 6500.0))):
+        osc = ctx.create_oscillator()
+        osc.type = wave
+        osc.frequency.value = freq
+        osc.connect(merger, input=port)
+        osc.start(0.0)
+    comp = ctx.create_dynamics_compressor()
+    merger.connect(comp).connect(ctx.destination)
+    return ctx
+
+
+def _sweep_graph(wave, length, batch, *, detune=False, start=0.0):
+    """An oscillator whose frequency ramps 2 kHz -> 9 kHz: the band limit
+    (Nyquist / fundamental) falls from 11 to 2 harmonics across the
+    buffer, so the harmonic set changes between blocks. The glibc math
+    backend's pow(2, 0) is not exactly 1, so detuning a block whose
+    detune is all zero would show in the bytes."""
+    config = AudioStack("blink", "glibc", "radix2", "blink").realize()
+    ctx = OfflineAudioContext(1, length, 44100, config=config,
+                              batch_size=batch)
+    osc = ctx.create_oscillator()
+    if wave == "custom":
+        osc.set_periodic_wave(ctx.create_periodic_wave(
+            [0.0, 0.3, 0.0, 0.1, 0.05], [0.0, 1.0, 0.5, 0.25, 0.125]))
+    else:
+        osc.type = wave
+    end = length / 44100
+    osc.frequency.set_value_at_time(2000.0, 0.0)
+    osc.frequency.linear_ramp_to_value_at_time(9000.0, end)
+    if detune:
+        # zero for the first blocks, then a ramp: the quantum loop detunes
+        # only the blocks where detune is non-zero somewhere
+        osc.detune.set_value_at_time(0.0, end * 0.3)
+        osc.detune.linear_ramp_to_value_at_time(700.0, end)
+    comp = ctx.create_dynamics_compressor()
+    osc.connect(comp).connect(ctx.destination)
+    osc.start(start)
+    return ctx
+
+
+class TestFusedKernels:
+    """The merger and automated-oscillator kernels, byte for byte against
+    the quantum loop."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 256])
+    @pytest.mark.parametrize("length", [5000, 4096, 130])
+    def test_merger_fan_in(self, length, batch):
+        fused, quantum = _render_both(lambda: _merger_graph(length, batch))
+        assert fused.tobytes() == quantum.tobytes()
+
+    def test_merger_channels_reach_destination(self):
+        fused, quantum = _render_both(lambda: _merger_graph(5000, 3, 3))
+        assert fused.shape == (3, 3, 5000)
+        assert fused.tobytes() == quantum.tobytes()
+
+    @pytest.mark.parametrize("length", [5000, 4096, 130])
+    @pytest.mark.parametrize("wave",
+                             ["sine", "square", "sawtooth", "triangle",
+                              "custom"])
+    def test_automated_oscillator(self, wave, length):
+        fused, quantum = _render_both(lambda: _sweep_graph(wave, length, 3))
+        assert fused.tobytes() == quantum.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3, 256])
+    @pytest.mark.parametrize("wave", ["square", "triangle"])
+    def test_detune_ramp_and_late_start(self, wave, batch):
+        fused, quantum = _render_both(lambda: _sweep_graph(
+            wave, 5000, batch, detune=True, start=0.013))
+        assert fused.tobytes() == quantum.tobytes()
+        assert not fused[:, :, :573].any()  # silent before frame 573
+
+    def test_sweep_crosses_harmonic_boundaries(self):
+        """The test graph really changes its harmonic set mid-buffer."""
+        ctx = _sweep_graph("square", 5000, 1)
+        osc = next(node for node in ctx._nodes
+                   if isinstance(node, OscillatorNode))
+        freq = osc.frequency.values(0, 5000, 44100)[::128]
+        limits = {osc._band_limit(22050.0, float(f)) for f in freq}
+        assert len(limits) >= 5
+
+    @pytest.mark.parametrize("name", sorted(AUDIO_VECTORS))
+    def test_every_audio_vector_renders_fused(self, name, monkeypatch):
+        paths_used = []
+        render = OfflineAudioContext.start_rendering_batch
+
+        def _spy(ctx):
+            out = render(ctx)
+            paths_used.append(ctx.render_path_used)
+            return out
+        monkeypatch.setattr(OfflineAudioContext, "start_rendering_batch",
+                            _spy)
+        stack = AudioStack("blink", "glibc", "splitradix", "blink")
+        rng = np.random.default_rng(7)
+        get_vector(name).render_batch(stack, _paths_under_load(rng, 3))
+        assert paths_used and set(paths_used) == {"fused"}
 
 
 STUDY = dict(user_count=6, iterations=3, vectors=("dc", "fft", "hybrid"),

@@ -150,6 +150,17 @@ class TestNodeProfiler:
                 assert current_node_profiler() is inner
             assert current_node_profiler() is outer
 
+    def test_empty_profile_stores_nothing(self):
+        """A stack whose render never entered the engine leaves no empty
+        hot-node table, directly or through a worker snapshot merge."""
+        rec = Recorder()
+        rec.record_node_profile("comparator-stack", {}, {})
+        rec.record_node_profile("audio-stack", {"Gain": 0.5}, {"Gain": 2})
+        assert list(rec.node_profile) == ["audio-stack"]
+        parent = Recorder()
+        parent.merge_snapshot({"node_profile": {"comparator-stack": {}}})
+        assert parent.node_profile == {}
+
 
 class TestNullRecorder:
     def test_null_is_disabled_and_inert(self):
