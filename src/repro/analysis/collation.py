@@ -20,12 +20,14 @@ analysis measures.
 
 Implementation notes (scales past the paper's 2093 x 30 x 7 grid):
 
-- eFPs are integer-interned once (``StudyDataset.intern``), so the
-  whole computation runs on an ``(users, iterations)`` int64 grid.
+- eFPs are integer-interned once (``StudyDataset.intern``): one dict
+  pass over the flattened series assigns ids in first-appearance order,
+  so the whole computation runs on an ``(users, iterations)`` int64 grid.
 - Per-series edges are built vectorized as a star from each row's first
   eFP to every other eFP in the row — connectivity-equivalent to the
   full per-series clique at O(iterations) instead of O(iterations²)
-  edges — then deduplicated grid-wide with one ``np.unique``.
+  edges — then deduplicated grid-wide with one 1-D ``np.unique`` over
+  ``lo * n + hi`` keys, which sort exactly like the (lo, hi) pairs.
 - Components come from an iterative array-backed union-find (path
   halving, no recursion) over the deduplicated edges, plus one
   vectorized pointer-jumping pass to resolve every node's root. Work is
@@ -97,6 +99,7 @@ def series_edges(codes: np.ndarray) -> np.ndarray:
     Each row contributes a star from its first eFP to every later eFP —
     enough for connectivity, linear in the row length. Self-loops are
     dropped; undirected duplicates collapse via (lo, hi) normalization.
+    Edges come out sorted lexicographically by (lo, hi).
     """
     if codes.shape[1] < 2:
         return np.empty((0, 2), dtype=np.int64)
@@ -107,8 +110,12 @@ def series_edges(codes: np.ndarray) -> np.ndarray:
     if not mask.any():
         return np.empty((0, 2), dtype=np.int64)
     u, v = u[mask], v[mask]
-    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
-    return np.unique(pairs, axis=0)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # one int64 key per edge sorts exactly like (lo, hi); ids are interned
+    # eFP indices (< the grid's cell count), so n * n cannot overflow
+    n = int(hi.max()) + 1
+    keys = np.unique(lo * n + hi)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

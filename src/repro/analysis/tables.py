@@ -92,11 +92,9 @@ def match_score(codes: np.ndarray, s: int) -> float | None:
     seen = np.zeros(roots.shape[0], dtype=bool)
     seen[train.ravel()] = True
     own = roots[train[:, 0]]
-    matched = 0
-    for u in range(users):
-        revisits = [e for e in test[u].tolist() if seen[e]]
-        if revisits and all(int(roots[e]) == int(own[u]) for e in revisits):
-            matched += 1
+    hit = seen[test]
+    ok = ~hit | (roots[test] == own[:, None])
+    matched = int((hit.any(axis=1) & ok.all(axis=1)).sum())
     return matched / users
 
 

@@ -12,64 +12,72 @@ Version pools are head-heavy (auto-update concentrates mass on the
 current release train) with a long tail of stragglers; OS build pools
 model the slower OS upgrade cadence. All draws go through
 ``pick_weighted``: one ``rng.random()`` per draw against a cumulative
-table, deterministic given the caller's per-user stream.
+table, deterministic given the caller's per-user stream. Each table's
+CDF is computed once and cached, so a draw is one binary search.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 
+@lru_cache(maxsize=64)
+def _cdf(table: tuple[tuple[str, float], ...]) -> tuple[float, ...]:
+    """The table's float64 CDF, computed once per (immutable) table."""
+    weights = np.array([w for _, w in table], dtype=np.float64)
+    return tuple(np.cumsum(weights / weights.sum()).tolist())
+
+
 def pick_weighted(rng: np.random.Generator, table) -> str:
-    """One weighted draw from ``[(value, weight), ...]`` — a single
+    """One weighted draw from ``((value, weight), ...)`` — a single
     ``rng.random()`` against the table's cumulative distribution, so the
     caller's stream advances by exactly one draw per pick."""
-    weights = np.array([w for _, w in table], dtype=np.float64)
-    cdf = np.cumsum(weights / weights.sum())
-    index = min(int(np.searchsorted(cdf, rng.random(), side="right")),
-                len(table) - 1)
+    # bisect_right makes searchsorted(side="right")'s float64 comparisons
+    index = min(bisect_right(_cdf(table), rng.random()), len(table) - 1)
     return table[index][0]
 
 
 #: browser release trains, head-first (value, weight)
-BROWSER_VERSIONS: dict[str, list[tuple[str, float]]] = {
-    "Chrome": [
+BROWSER_VERSIONS: dict[str, tuple[tuple[str, float], ...]] = {
+    "Chrome": (
         ("104.0.5112.102", 24.0), ("104.0.5112.81", 14.0),
         ("103.0.5060.134", 12.0), ("103.0.5060.114", 8.0),
         ("102.0.5005.115", 7.0), ("102.0.5005.63", 4.0),
         ("101.0.4951.67", 3.5), ("100.0.4896.127", 2.5),
         ("99.0.4844.84", 1.5), ("98.0.4758.102", 1.0),
         ("96.0.4664.110", 0.8), ("94.0.4606.81", 0.5),
-    ],
-    "Edge": [
+    ),
+    "Edge": (
         ("104.0.1293.63", 22.0), ("104.0.1293.47", 12.0),
         ("103.0.1264.77", 10.0), ("103.0.1264.62", 6.0),
         ("102.0.1245.44", 4.0), ("101.0.1210.53", 2.0),
         ("100.0.1185.50", 1.0), ("98.0.1108.62", 0.5),
-    ],
-    "Firefox": [
+    ),
+    "Firefox": (
         ("103.0", 22.0), ("103.0.2", 10.0), ("102.0", 9.0),
         ("102.0.1", 6.0), ("101.0.1", 4.0), ("100.0.2", 2.5),
         ("99.0.1", 1.5), ("91.13.0", 1.2), ("78.15.0", 0.4),
-    ],
-    "Safari": [
+    ),
+    "Safari": (
         ("15.6", 20.0), ("15.5", 10.0), ("15.4", 6.0), ("15.3", 3.0),
         ("14.1.2", 2.5), ("13.1.2", 1.0),
-    ],
+    ),
 }
 
 #: OS build/device strings per OS family, head-first (value, weight)
-OS_BUILDS: dict[str, list[tuple[str, float]]] = {
-    "Windows": [
+OS_BUILDS: dict[str, tuple[tuple[str, float], ...]] = {
+    "Windows": (
         ("Windows NT 10.0; Win64; x64", 46.0),
         ("Windows NT 10.0; WOW64", 6.0),
         ("Windows NT 10.0; Win64; x64; 22H2", 12.0),
         ("Windows NT 10.0; Win64; x64; 21H2", 8.0),
         ("Windows NT 6.3; Win64; x64", 2.0),
         ("Windows NT 6.1; Win64; x64", 1.5),
-    ],
-    "macOS": [
+    ),
+    "macOS": (
         ("Macintosh; Intel Mac OS X 10_15_7", 16.0),
         ("Macintosh; Intel Mac OS X 12_5", 10.0),
         ("Macintosh; Intel Mac OS X 12_4", 6.0),
@@ -77,8 +85,8 @@ OS_BUILDS: dict[str, list[tuple[str, float]]] = {
         ("Macintosh; Intel Mac OS X 12_5_1", 3.0),
         ("Macintosh; Intel Mac OS X 10_14_6", 1.5),
         ("Macintosh; Intel Mac OS X 10_13_6", 0.6),
-    ],
-    "Android": [
+    ),
+    "Android": (
         ("Linux; Android 12; Pixel 6", 8.0),
         ("Linux; Android 12; SM-G991B", 7.0),
         ("Linux; Android 11; SM-A515F", 6.0),
@@ -87,13 +95,13 @@ OS_BUILDS: dict[str, list[tuple[str, float]]] = {
         ("Linux; Android 10; SM-G973F", 3.0),
         ("Linux; Android 11; M2101K6G", 2.0),
         ("Linux; Android 9; SM-J530F", 1.0),
-    ],
-    "Linux": [
+    ),
+    "Linux": (
         ("X11; Linux x86_64", 14.0),
         ("X11; Ubuntu; Linux x86_64", 8.0),
         ("X11; Fedora; Linux x86_64", 3.0),
         ("X11; Linux i686", 0.6),
-    ],
+    ),
 }
 
 

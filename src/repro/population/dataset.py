@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -48,17 +49,15 @@ class StudyDataset:
         ``user_ids`` names the rows. The collation layer operates on
         this grid only — string eFPs are touched exactly once here.
         """
-        table: dict[str, int] = {}
         user_ids = self.user_ids()
-        codes = np.empty((len(user_ids), self.iterations), dtype=np.int64)
-        series = self.series[vector]
-        for row, uid in enumerate(user_ids):
-            for col, efp in enumerate(series[uid]):
-                code = table.get(efp)
-                if code is None:
-                    code = table[efp] = len(table)
-                codes[row, col] = code
-        return codes, list(table), user_ids
+        flat = list(chain.from_iterable(
+            map(self.series[vector].__getitem__, user_ids)))
+        # dict.fromkeys keeps first-appearance order: that is the id order
+        labels = list(dict.fromkeys(flat))
+        table = dict(zip(labels, range(len(labels))))
+        codes = np.fromiter(map(table.__getitem__, flat), dtype=np.int64,
+                            count=len(flat))
+        return codes.reshape(len(user_ids), self.iterations), labels, user_ids
 
     # -- (de)serialization --------------------------------------------------
     def to_dict(self) -> dict:

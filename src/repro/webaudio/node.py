@@ -110,10 +110,15 @@ def mix_sources(blocks: list[np.ndarray], batch: int, n: int) -> np.ndarray:
 
 
 def mix_to_channels(block: np.ndarray, channels: int) -> np.ndarray:
-    """Up/down-mix a (B, c, n) block to exactly ``channels`` channels."""
+    """Up/down-mix a (B, c, n) block to exactly ``channels`` channels.
+    A row-uniform (broadcast) block mixes its one distinct row and stays
+    a broadcast, like ``mix_sources_uniform``."""
     c = block.shape[-2]
     if c == channels:
         return block
+    if batch_uniform(block):
+        first = mix_to_channels(block[:1], channels)
+        return np.broadcast_to(first, (block.shape[0],) + first.shape[1:])
     if c == 1:
         return np.repeat(block, channels, axis=-2)
     if channels == 1:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.webaudio import OfflineAudioContext, RENDER_QUANTUM_FRAMES
 from repro.webaudio.graph import topological_order
+from repro.webaudio.node import mix_to_channels
 
 
 def _context(length=1024, rate=44100.0, channels=1):
@@ -131,6 +132,21 @@ class TestMergerAndChannels:
         solo.start(0.0)
         ref = ctx2.start_rendering().get_channel_data(0)
         assert np.allclose(data, 2.0 * ref, atol=1e-12)
+
+    @pytest.mark.parametrize("c,channels", [(2, 1), (3, 1), (1, 2), (3, 2),
+                                            (2, 4)])
+    def test_mix_to_channels_keeps_broadcast_rows_broadcast(self, c, channels):
+        """A zero-stride (row-uniform) block mixes its one distinct row:
+        the output is zero-stride too, and byte-equal to mixing the
+        materialized block row by row."""
+        row = np.random.default_rng(c * 10 + channels).standard_normal(
+            (1, c, 300))
+        uniform = np.broadcast_to(row, (5, c, 300))
+        got = mix_to_channels(uniform, channels)
+        want = mix_to_channels(np.ascontiguousarray(uniform), channels)
+        assert got.shape == want.shape == (5, channels, 300)
+        assert got.strides[0] == 0
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCompressor:
